@@ -50,8 +50,9 @@ sharedService()
         // Validated parse: garbage, negatives, and zero fall back to
         // hardware concurrency with a warning instead of atoi's silent
         // 0 / accepted negatives.
-        config.numThreads = CompileService::parseThreadCount(
-            std::getenv("MUSSTI_BENCH_THREADS"));
+        config.numThreads = parseEnvThreadCount(
+            "MUSSTI_BENCH_THREADS", std::getenv("MUSSTI_BENCH_THREADS"),
+            CompileService::kMaxThreads);
         return config;
     }());
     return service;

@@ -20,8 +20,10 @@
 using namespace mussti;
 using namespace mussti::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::string out_path = "bench_results_fig10.json";
     for (int i = 1; i < argc; ++i) {
@@ -78,4 +80,12 @@ main(int argc, char **argv)
                  "implementation is faster but must show the same "
                  "polynomial growth.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runCliMain(run, argc, argv);
 }

@@ -86,6 +86,7 @@
 #include "baselines/backend_factory.h"
 #include "common/alloc_counter.h"
 #include "common/bench_json.h"
+#include "common/string_util.h"
 #include "core/compile_service.h"
 #include "core/compiler.h"
 #include "core/mapper.h"
@@ -594,10 +595,8 @@ printRecord(const char *tier, const BenchRecord &record,
                 speedup_cell.c_str(), allocs_cell);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     int repeats = 5;
     std::string out_path = "bench_results.json";
@@ -615,7 +614,7 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--repeats") {
-            repeats = std::atoi(next().c_str());
+            repeats = parseIntArg(next(), "--repeats");
             if (repeats < 1)
                 fatal("--repeats must be >= 1");
         } else if (arg == "--quick") {
@@ -645,7 +644,7 @@ main(int argc, char **argv)
                 fatal("--require-delta-speedup wants a positive number, "
                       "got `" + value + "`");
         } else if (arg == "--soak") {
-            soak = std::atoi(next().c_str());
+            soak = parseIntArg(next(), "--soak");
             if (soak < 1)
                 fatal("--soak must be >= 1");
         } else {
@@ -839,4 +838,12 @@ main(int argc, char **argv)
     }
 
     return gate_ok && allocs_ok && delta_ok && cache_ok ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runCliMain(run, argc, argv);
 }

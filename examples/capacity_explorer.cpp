@@ -50,10 +50,8 @@ hubSpec(int modules, int hub, const EmlModuleMix &hub_mix, int capacity)
     return DeviceRegistry::heteroSpec(mixes, capacity);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::string family = "bv";
     int qubits = 128;
@@ -139,4 +137,12 @@ main(int argc, char **argv)
     std::cout << "\n(heterogeneous specs: eml:hetero=S.O.X-... — see "
                  "src/arch/README.md)\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runCliMain(run, argc, argv);
 }

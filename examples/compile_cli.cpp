@@ -25,7 +25,7 @@
  *   compile_cli --device grid:4x3,cap=16 --backend murali qft 32
  *   compile_cli --trace 20 --validate my_circuit.qasm
  */
-#include <cstdlib>
+#include <cctype>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -58,10 +58,8 @@ usage()
         "           --trace [N] --validate\n";
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     MusstiConfig config;
     std::string backend_name = "mussti";
@@ -84,13 +82,15 @@ main(int argc, char **argv)
         } else if (arg == "--no-swap-insert") {
             config.enableSwapInsertion = false;
         } else if (arg == "--capacity" && i + 1 < argc) {
-            config.device.trapCapacity = std::atoi(argv[++i]);
+            config.device.trapCapacity =
+                parseIntArg(argv[++i], "--capacity");
             device_flags = true;
         } else if (arg == "--optical" && i + 1 < argc) {
-            config.device.numOpticalZones = std::atoi(argv[++i]);
+            config.device.numOpticalZones =
+                parseIntArg(argv[++i], "--optical");
             device_flags = true;
         } else if (arg == "--lookahead" && i + 1 < argc) {
-            config.lookAhead = std::atoi(argv[++i]);
+            config.lookAhead = parseIntArg(argv[++i], "--lookahead");
         } else if (arg == "--policy" && i + 1 < argc) {
             const std::string p = argv[++i];
             if (p == "anticipatory-lru")
@@ -109,7 +109,7 @@ main(int argc, char **argv)
             trace = true;
             if (i + 1 < argc && std::isdigit(
                     static_cast<unsigned char>(argv[i + 1][0])))
-                trace_ops = std::atoi(argv[++i]);
+                trace_ops = parseIntArg(argv[++i], "--trace op count");
         } else if (arg == "--validate") {
             validate = true;
         } else if (arg.rfind("--", 0) == 0) {
@@ -118,7 +118,7 @@ main(int argc, char **argv)
         } else if (target.empty()) {
             target = arg;
         } else {
-            qubits = std::atoi(arg.c_str());
+            qubits = parseIntArg(arg, "qubit count");
         }
     }
     if (target.empty()) {
@@ -204,4 +204,12 @@ main(int argc, char **argv)
         return report ? 0 : 1;
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runCliMain(run, argc, argv);
 }

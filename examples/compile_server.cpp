@@ -14,10 +14,11 @@
  *                   directory serves repeat compiles from disk
  *   --disk-cap N    disk-tier entry bound (default 512; 0 = unbounded)
  *   --quantum N     DRR gate-credit quantum (default 256)
- *   --inflight N    per-client in-flight budget (default 4; 0 = off)
+ *   --inflight N    per-client budget of running jobs (default 4;
+ *                   0 = off)
  *
  * SIGTERM/SIGINT drain gracefully: stop accepting, stream Cancelled for
- * still-queued jobs, finish in-flight compiles, exit 0.
+ * still-queued jobs, finish running compiles, exit 0.
  */
 #include <atomic>
 #include <csignal>

@@ -76,10 +76,8 @@ trajectoryRecords(const TunerConfig &config, const TuneOutcome &outcome)
     return records;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     TunerConfig config;
     std::string json_path;
@@ -116,8 +114,9 @@ main(int argc, char **argv)
     if (config.workloads.empty())
         config.workloads.push_back(parseTuneWorkload("qaoa:96"));
     if (config.numThreads <= 0)
-        config.numThreads = CompileService::parseThreadCount(
-            std::getenv("MUSSTI_BENCH_THREADS"));
+        config.numThreads = parseEnvThreadCount(
+            "MUSSTI_BENCH_THREADS", std::getenv("MUSSTI_BENCH_THREADS"),
+            CompileService::kMaxThreads);
 
     const SpecSearchSpace space = parseSpecSearch(config.search);
     std::cout << "search       : " << config.search << "\n"
@@ -167,4 +166,12 @@ main(int argc, char **argv)
         std::cout << "trajectory   : " << json_path << "\n";
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runCliMain(run, argc, argv);
 }

@@ -21,8 +21,8 @@ namespace mussti {
  *  - ResourceExhausted: the request is well-formed but exceeds a
  *                       capacity limit (device slots, memory).
  *  - Timeout:           a per-job deadline expired.
- *  - Cancelled:         a cancellation token fired or the service shut
- *                       down while the job was queued/in flight.
+ *  - Cancelled:         a cancellation token fired, or the service shut
+ *                       down while the job was still queued.
  *  - Transient:         a retryable fault (injected or environmental);
  *                       the service retries these with bounded backoff.
  *  - Internal:          a bug — an invariant we own was violated.

@@ -105,4 +105,20 @@ report(LogLevel level, const std::string &message)
 }
 
 } // namespace detail
+
+int
+runCliMain(int (*body)(int, char **), int argc, char **argv)
+{
+    try {
+        return body(argc, argv);
+    } catch (const MusstiError &error) {
+        if (quietCategory(error.category()))
+            emitLine(std::string("fatal: ") + error.message());
+        return error.category() == ErrorCategory::InvalidInput ? 2 : 1;
+    } catch (...) {
+        emitLine("fatal: " + describeCurrentException().message());
+        return 1;
+    }
+}
+
 } // namespace mussti

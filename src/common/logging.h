@@ -127,6 +127,16 @@ class ScopedFatalSilence
     bool silenceWarns_;
 };
 
+/**
+ * Run a command-line tool's body and turn an escaping error into an
+ * exit status instead of std::terminate's abort: 2 for InvalidInput
+ * (bad arguments or input — the CLI convention for usage errors), 1 for
+ * anything else. fatal()/panic() have already printed the diagnostic;
+ * quiet categories and foreign exceptions are printed here. Usage:
+ * `int main(int argc, char **argv) { return runCliMain(run, argc, argv); }`.
+ */
+int runCliMain(int (*body)(int, char **), int argc, char **argv);
+
 } // namespace mussti
 
 /**

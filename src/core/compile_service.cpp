@@ -8,7 +8,6 @@
 #include "common/fault_injection.h"
 #include "common/hash.h"
 #include "common/logging.h"
-#include "common/string_util.h"
 #include "core/scheduler_workspace.h"
 
 namespace mussti {
@@ -74,6 +73,8 @@ CompileService::ProbeKeyHash::operator()(const ProbeKey &key) const
 CompileService::CompileService(const CompileServiceConfig &config)
     : config_(config)
 {
+    config_.admission.quantum =
+        std::max<std::uint64_t>(1, config.admission.quantum);
     if (config.cacheCapacity > 0)
         resultTiers_.push_back(
             std::make_unique<MemoryResultCache>(config.cacheCapacity));
@@ -99,7 +100,7 @@ CompileService::~CompileService()
 void
 CompileService::shutdown()
 {
-    std::deque<Job> orphaned;
+    std::vector<Job> orphaned;
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
         if (stopping_) {
@@ -108,43 +109,61 @@ CompileService::shutdown()
             return;
         }
         stopping_ = true;
-        shutdownFlag_.store(true, std::memory_order_relaxed);
-        orphaned.swap(queue_);
+        // Ring order, then per-client FIFO: the cancellation order is
+        // as deterministic as the dispatch order.
+        for (ClientQueue &client : ring_) {
+            for (Job &job : client.jobs)
+                orphaned.push_back(std::move(job));
+            client.jobs.clear();
+        }
+        std::erase_if(ring_, [](const ClientQueue &client) {
+            return client.running == 0;
+        });
+        cursor_ = 0;
+        turnOpen_ = false;
+        counters_.cancelledQueued += orphaned.size();
     }
     queueCv_.notify_all();
-    for (std::thread &worker : workers_)
-        worker.join();
-    workers_.clear();
 
     // Queued-but-never-started jobs resolve Cancelled — a shutdown must
-    // not abandon promises (a waiter would deadlock on a
-    // broken_promise-free future) nor silently run work nobody awaits.
+    // not abandon a caller nor silently run work nobody awaits. Running
+    // jobs finish and deliver before their workers exit.
     for (Job &job : orphaned)
         deliver(std::move(job),
                 cancelledOutcome("compile service shut down before the "
                                  "job started"));
+    for (std::thread &worker : workers_)
+        worker.join();
+    workers_.clear();
 }
+
+namespace {
+
+/** Give every unseeded request its deriveJobSeed(base, index). */
+std::vector<CompileRequest>
+seedSweep(std::vector<CompileRequest> requests, std::uint64_t base_seed)
+{
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        if (!requests[i].seed.has_value())
+            requests[i].seed = CompileService::deriveJobSeed(base_seed, i);
+    }
+    return requests;
+}
+
+} // namespace
 
 std::vector<CompileResult>
 CompileService::compileSweep(std::vector<CompileRequest> requests,
                              std::uint64_t base_seed)
 {
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (!requests[i].seed.has_value())
-            requests[i].seed = deriveJobSeed(base_seed, i);
-    }
-    return compileAll(std::move(requests));
+    return compileAll(seedSweep(std::move(requests), base_seed));
 }
 
 std::vector<CompileOutcome>
 CompileService::compileSweepOutcomes(std::vector<CompileRequest> requests,
                                      std::uint64_t base_seed)
 {
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (!requests[i].seed.has_value())
-            requests[i].seed = deriveJobSeed(base_seed, i);
-    }
-    return compileAllOutcomes(std::move(requests));
+    return compileAllOutcomes(seedSweep(std::move(requests), base_seed));
 }
 
 std::uint64_t
@@ -160,37 +179,35 @@ CompileService::deriveJobSeed(std::uint64_t base_seed,
     return x ^ (x >> 31);
 }
 
-int
-CompileService::parseThreadCount(const char *text)
-{
-    return parseEnvThreadCount("MUSSTI_BENCH_THREADS", text, kMaxThreads);
-}
-
 std::future<CompileResult>
 CompileService::submit(CompileRequest request)
 {
     MUSSTI_REQUIRE(request.backend != nullptr,
                    "compile request without a backend");
-    Job job{std::move(request), {}, {}, false, {}};
-    std::future<CompileResult> future = job.promise.get_future();
-    enqueueOrCancel(std::move(job));
+    // Shared: std::function needs a copyable callable.
+    auto promise = std::make_shared<std::promise<CompileResult>>();
+    std::future<CompileResult> future = promise->get_future();
+    submitWithCallback(std::move(request),
+                       [promise](CompileOutcome outcome) {
+                           if (outcome.ok())
+                               promise->set_value(
+                                   std::move(*outcome.result));
+                           else
+                               promise->set_exception(
+                                   outcome.errorInfo().toExceptionPtr());
+                       });
     return future;
 }
 
 std::future<CompileOutcome>
 CompileService::submitOutcome(CompileRequest request)
 {
-    Job job{std::move(request), {}, {}, true, {}};
-    std::future<CompileOutcome> future = job.outcomePromise.get_future();
-    if (job.request.backend == nullptr) {
-        CompileOutcome outcome;
-        outcome.error = MusstiError(ErrorCategory::InvalidInput,
-                                    "input.no-backend",
-                                    "compile request without a backend");
-        deliver(std::move(job), std::move(outcome));
-        return future;
-    }
-    enqueueOrCancel(std::move(job));
+    auto promise = std::make_shared<std::promise<CompileOutcome>>();
+    std::future<CompileOutcome> future = promise->get_future();
+    submitWithCallback(std::move(request),
+                       [promise](CompileOutcome outcome) {
+                           promise->set_value(std::move(outcome));
+                       });
     return future;
 }
 
@@ -200,7 +217,7 @@ CompileService::submitWithCallback(CompileRequest request,
 {
     MUSSTI_REQUIRE(done != nullptr,
                    "submitWithCallback without a callback");
-    Job job{std::move(request), {}, {}, true, std::move(done)};
+    Job job{std::move(request), std::move(done)};
     if (job.request.backend == nullptr) {
         CompileOutcome outcome;
         outcome.error = MusstiError(ErrorCategory::InvalidInput,
@@ -209,23 +226,30 @@ CompileService::submitWithCallback(CompileRequest request,
         deliver(std::move(job), std::move(outcome));
         return;
     }
-    enqueueOrCancel(std::move(job));
-}
-
-void
-CompileService::enqueueOrCancel(Job job)
-{
+    bool queued = false;
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
         if (!stopping_) {
-            queue_.push_back(std::move(job));
-            queueCv_.notify_one();
-            return;
+            auto it = std::find_if(ring_.begin(), ring_.end(),
+                                   [&job](const ClientQueue &client) {
+                                       return client.name ==
+                                              job.request.client;
+                                   });
+            if (it == ring_.end()) {
+                ring_.push_back(ClientQueue{job.request.client, {}, 0, 0});
+                it = ring_.end() - 1;
+            }
+            it->jobs.push_back(std::move(job));
+            ++counters_.submitted;
+            queued = true;
         }
     }
+    if (queued) {
+        queueCv_.notify_one();
+        return;
+    }
     // Submit after shutdown: resolve immediately instead of racing the
-    // worker teardown — the caller gets a ready Cancelled outcome (or
-    // a future that throws it, on the legacy path).
+    // worker teardown.
     deliver(std::move(job),
             cancelledOutcome("submit after compile service shutdown"));
 }
@@ -233,15 +257,10 @@ CompileService::enqueueOrCancel(Job job)
 std::vector<CompileResult>
 CompileService::compileAll(std::vector<CompileRequest> requests)
 {
-    std::vector<std::future<CompileResult>> futures;
-    futures.reserve(requests.size());
-    for (CompileRequest &request : requests)
-        futures.push_back(submit(std::move(request)));
-
     std::vector<CompileResult> results;
-    results.reserve(futures.size());
-    for (std::future<CompileResult> &future : futures)
-        results.push_back(future.get());
+    results.reserve(requests.size());
+    for (CompileOutcome &outcome : compileAllOutcomes(std::move(requests)))
+        results.push_back(outcome.take());
     return results;
 }
 
@@ -260,30 +279,126 @@ CompileService::compileAllOutcomes(std::vector<CompileRequest> requests)
     return outcomes;
 }
 
-void
-CompileService::workerLoop()
+AdmissionStats
+CompileService::admissionStats() const
 {
-    for (;;) {
-        std::optional<Job> job;
-        {
-            std::unique_lock<std::mutex> lock(queueMutex_);
-            queueCv_.wait(lock, [this] {
-                return stopping_ || !queue_.empty();
-            });
-            if (stopping_)
-                return; // shutdown() drains what is left of the queue
-            job.emplace(std::move(queue_.front()));
-            queue_.pop_front();
-        }
-        execute(std::move(*job));
+    std::lock_guard<std::mutex> lock(queueMutex_);
+    AdmissionStats stats = counters_;
+    for (const ClientQueue &client : ring_) {
+        stats.queuedJobs += client.jobs.size();
+        stats.inFlightJobs += client.running;
     }
+    stats.activeClients = ring_.size();
+    return stats;
 }
 
 void
-CompileService::execute(Job job)
+CompileService::workerLoop()
 {
-    CompileOutcome outcome = runJob(job.request);
-    deliver(std::move(job), std::move(outcome));
+    std::unique_lock<std::mutex> lock(queueMutex_);
+    for (;;) {
+        std::optional<Job> job = pickLocked();
+        if (!job.has_value()) {
+            if (stopping_)
+                return; // shutdown() drained the queue; nothing runs.
+            queueCv_.wait(lock);
+            continue;
+        }
+        lock.unlock();
+        CompileOutcome outcome = runJob(job->request);
+        lock.lock();
+        // Book before delivering, so a caller woken by its result sees
+        // the job counted as completed.
+        finishLocked(job->request.client);
+        lock.unlock();
+        deliver(std::move(*job), std::move(outcome));
+        lock.lock();
+    }
+}
+
+std::optional<CompileService::Job>
+CompileService::pickLocked()
+{
+    const std::size_t budget = config_.admission.maxInFlightPerClient;
+    const auto cost = [](const Job &job) {
+        // DRR credit is spent in gate units, so a 10k-gate sweep job
+        // drains ~10k credit while an interactive job costs its size.
+        return std::max<std::uint64_t>(1, job.request.circuit.size());
+    };
+    const auto startable = [budget](const ClientQueue &client) {
+        return !client.jobs.empty() &&
+               (budget == 0 || client.running < budget);
+    };
+
+    // Rotate the ring until a full pass makes no progress. Banking a
+    // quantum counts as progress: the blocked front job's cost is
+    // finite, so its client gets through after a bounded number of
+    // rotations.
+    std::size_t idle_turns = 0;
+    while (idle_turns < ring_.size()) {
+        ClientQueue &client = ring_[cursor_];
+        if (!startable(client)) {
+            endTurnLocked();
+            ++idle_turns;
+            continue;
+        }
+        if (!turnOpen_) {
+            client.deficit += config_.admission.quantum;
+            turnOpen_ = true;
+        }
+        if (cost(client.jobs.front()) > client.deficit) {
+            endTurnLocked();
+            idle_turns = 0;
+            continue;
+        }
+        client.deficit -= cost(client.jobs.front());
+        Job job = std::move(client.jobs.front());
+        client.jobs.pop_front();
+        ++client.running;
+        ++counters_.dispatched;
+        // The turn lasts while the client can go on spending its credit
+        // (the next worker continues it); otherwise it ends here.
+        if (!startable(client) || cost(client.jobs.front()) > client.deficit)
+            endTurnLocked();
+        return job;
+    }
+    return std::nullopt;
+}
+
+void
+CompileService::endTurnLocked()
+{
+    ClientQueue &client = ring_[cursor_];
+    if (client.jobs.empty())
+        client.deficit = 0; // Standard DRR: no banking across idle.
+    turnOpen_ = false;
+    cursor_ = (cursor_ + 1) % ring_.size();
+}
+
+void
+CompileService::finishLocked(const std::string &name)
+{
+    const auto it = std::find_if(
+        ring_.begin(), ring_.end(),
+        [&name](const ClientQueue &client) { return client.name == name; });
+    --it->running;
+    ++counters_.completed;
+    if (!it->jobs.empty()) {
+        // Budget freed: a sleeping worker may now start this client's
+        // next job (this worker might pick another client's).
+        queueCv_.notify_one();
+        return;
+    }
+    if (it->running > 0)
+        return;
+    const auto index = static_cast<std::size_t>(it - ring_.begin());
+    ring_.erase(it);
+    if (index < cursor_)
+        --cursor_;
+    else if (index == cursor_)
+        turnOpen_ = false;
+    if (cursor_ >= ring_.size())
+        cursor_ = 0;
 }
 
 CompileOutcome
@@ -297,7 +412,6 @@ CompileService::runJob(CompileRequest &request)
             JobControl control;
             control.deadline = request.deadline;
             control.cancel = request.cancel.get();
-            control.shutdown = &shutdownFlag_;
             // A job whose deadline already passed (or whose token fired
             // while queued) resolves without compiling anything.
             control.checkpoint();
@@ -396,8 +510,6 @@ bool
 CompileService::backoffBeforeRetry(const CompileRequest &request,
                                    int attempt) const
 {
-    if (shutdownFlag_.load(std::memory_order_relaxed))
-        return false;
     if (request.cancel != nullptr &&
         request.cancel->load(std::memory_order_relaxed))
         return false;
@@ -463,18 +575,7 @@ CompileService::deliver(Job job, CompileOutcome outcome)
         }
     }
 
-    if (job.callback) {
-        job.callback(std::move(outcome));
-        return;
-    }
-    if (job.tolerant) {
-        job.outcomePromise.set_value(std::move(outcome));
-        return;
-    }
-    if (outcome.ok())
-        job.promise.set_value(std::move(*outcome.result));
-    else
-        job.promise.set_exception(outcome.errorInfo().toExceptionPtr());
+    job.callback(std::move(outcome));
 }
 
 std::optional<CompileResult>

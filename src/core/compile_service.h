@@ -25,7 +25,15 @@
  * boundaries and inside the scheduler's routing loop); Transient
  * failures are retried with bounded deterministic backoff; and neither
  * cache tier is ever populated by a failed job. Shutdown drains queued
- * jobs with Cancelled outcomes instead of abandoning their promises.
+ * jobs with Cancelled outcomes instead of abandoning their callers.
+ *
+ * The service has ONE queue, and it is multi-tenant: every request
+ * names a client (CompileRequest::client, empty = anonymous), and a
+ * free worker picks the next job by deficit round robin (DRR) over the
+ * clients with queued work (see FairAdmissionConfig). With one client
+ * and the default unbounded budget that is plain FIFO. Every job
+ * resolves through one completion callback; the future-returning and
+ * batch entry points are thin adapters over it.
  */
 #ifndef MUSSTI_CORE_COMPILE_SERVICE_H
 #define MUSSTI_CORE_COMPILE_SERVICE_H
@@ -54,7 +62,48 @@
 
 namespace mussti {
 
-/** Pool, cache, and retry/quarantine policy sizing. */
+/**
+ * Fairness policy of the service queue: deficit round robin (DRR,
+ * Shreedhar & Varghese) over per-client FIFO queues. Clients take turns
+ * in the order they became active; each turn banks `quantum` gate
+ * credit, and the client's jobs start while the credit covers their
+ * cost — a job costs its gate count, so DRR apportions compile work,
+ * not job slots. A client with nothing queued or running leaves the
+ * rotation, and its unspent credit with it.
+ */
+struct FairAdmissionConfig
+{
+    /**
+     * Gate credit a client banks per DRR turn. Larger quanta lower
+     * switching granularity (a client may burst more per turn);
+     * smaller quanta interleave finer. Any positive value preserves
+     * long-run proportional fairness; 0 is treated as 1.
+     */
+    std::uint64_t quantum = 256;
+
+    /**
+     * Jobs of one client that may RUN at once; 0 = unbounded. The lever
+     * that keeps a sweep from filling every worker the moment it is
+     * alone, which would still delay the next interactive arrival by a
+     * full compile. A worker that finds only over-budget clients waits
+     * for a completion.
+     */
+    std::size_t maxInFlightPerClient = 0;
+};
+
+/** Point-in-time counters of the service queue. */
+struct AdmissionStats
+{
+    std::uint64_t submitted = 0;   ///< Jobs accepted into the queue.
+    std::uint64_t dispatched = 0;  ///< Jobs a worker picked up.
+    std::uint64_t completed = 0;   ///< Picked-up jobs that finished.
+    std::uint64_t cancelledQueued = 0; ///< Queued jobs cancelled by shutdown.
+    std::size_t queuedJobs = 0;    ///< Currently waiting for a worker.
+    std::size_t inFlightJobs = 0;  ///< Currently running.
+    std::size_t activeClients = 0; ///< Clients with queued or running work.
+};
+
+/** Pool, cache, queue-fairness, and retry/quarantine policy sizing. */
 struct CompileServiceConfig
 {
     /** Worker threads; <= 0 selects the hardware concurrency. */
@@ -109,7 +158,7 @@ struct CompileServiceConfig
      * jitter, so a scripted fault sequence replays identically.
      * A retry is abandoned (the Transient error becomes the outcome)
      * when the job's deadline would expire inside the backoff, or its
-     * cancellation token / the service shutdown flag is already set.
+     * cancellation token is already set.
      */
     long long retryBackoffBaseUs = 200;
     long long retryBackoffMaxUs = 20000;
@@ -124,6 +173,9 @@ struct CompileServiceConfig
      * correctness. A successful resume resets the streak.
      */
     int deltaQuarantineThreshold = 32;
+
+    /** Queue fairness across clients; the default is plain FIFO. */
+    FairAdmissionConfig admission;
 };
 
 /** One unit of work for the service. */
@@ -153,6 +205,14 @@ struct CompileRequest
      * shared by many requests to cancel them as a group.
      */
     std::shared_ptr<const std::atomic<bool>> cancel;
+
+    /**
+     * Fairness identity: requests naming the same client share one DRR
+     * queue and one running-job budget. Empty is the anonymous client.
+     * (Default-initialised so the shorter aggregate forms stay
+     * warning-free.)
+     */
+    std::string client{};
 };
 
 /**
@@ -195,7 +255,7 @@ class CompileService
      * Enqueue one job; the future yields the result (or throws the
      * structured error — a MusstiFault/MusstiPanic). After shutdown()
      * the future is immediately ready with a Cancelled error (it does
-     * not race worker teardown).
+     * not race worker teardown). An adapter over submitWithCallback.
      */
     std::future<CompileResult> submit(CompileRequest request);
 
@@ -222,13 +282,12 @@ class CompileService
     std::future<CompileOutcome> submitOutcome(CompileRequest request);
 
     /**
-     * Enqueue one job on the error-tolerant path with a completion
-     * callback instead of a future: `done` is invoked exactly once with
-     * the job's outcome, from whichever thread resolves it (a worker,
-     * or the submitting thread for immediate rejections). The hook the
-     * admission layer and the compile server stream results through —
-     * same queue, cache tiers, retry, deadline, and drain semantics as
-     * submitOutcome. The callback must not block for long and must not
+     * Enqueue one job: `done` is invoked exactly once with the job's
+     * outcome, from whichever thread resolves it — a worker, the
+     * thread calling shutdown() for a job still queued then, or the
+     * submitting thread for immediate rejections (no backend,
+     * submit-after-shutdown). Every other entry point is an adapter
+     * over this one. The callback must not block for long and must not
      * re-enter shutdown().
      */
     void submitWithCallback(CompileRequest request,
@@ -273,10 +332,11 @@ class CompileService
                          std::uint64_t base_seed);
 
     /**
-     * Stop the pool: reject new submissions (ready Cancelled outcomes),
-     * resolve every still-queued job with a Cancelled outcome, signal
-     * in-flight jobs through their cooperative shutdown checkpoint, and
-     * join the workers. Idempotent; the destructor calls it.
+     * Stop the pool: reject new submissions (inline Cancelled
+     * outcomes), resolve every still-queued job Cancelled in DRR ring
+     * order (per-client FIFO within a client), let running compiles
+     * finish and deliver, then join the workers. Idempotent; the
+     * destructor calls it.
      */
     void shutdown();
 
@@ -291,17 +351,6 @@ class CompileService
     /** Upper bound accepted for an explicit worker-thread count. */
     static constexpr int kMaxThreads = 512;
 
-    /**
-     * Parse a thread-count override (the MUSSTI_BENCH_THREADS
-     * environment variable): parseEnvThreadCount from
-     * common/string_util.h bound to that variable name and kMaxThreads.
-     * Returns 0 — "auto", i.e. hardware concurrency — for null/empty
-     * input, and the parsed value for a well-formed positive integer,
-     * clamped with a warning naming the variable. Garbage or
-     * non-positive values fall back to auto with a logged warning.
-     */
-    static int parseThreadCount(const char *text);
-
     int numThreads() const { return static_cast<int>(workers_.size()); }
 
     /** Jobs that actually compiled (cache misses). */
@@ -309,6 +358,9 @@ class CompileService
 
     /** Jobs served from the result cache. */
     std::uint64_t cacheHits() const { return cacheHits_.load(); }
+
+    /** Queue counters: intake, DRR dispatch, running, clients. */
+    AdmissionStats admissionStats() const;
 
     /** Counters over both cache tiers and the failure paths. */
     struct CacheStats
@@ -358,12 +410,16 @@ class CompileService
     struct Job
     {
         CompileRequest request;
-        std::promise<CompileResult> promise;        ///< Legacy path.
-        std::promise<CompileOutcome> outcomePromise; ///< Tolerant path.
-        bool tolerant = false;
-
-        /** Set on the callback path; replaces both promises. */
         std::function<void(CompileOutcome)> callback;
+    };
+
+    /** One client's slot in the DRR rotation. */
+    struct ClientQueue
+    {
+        std::string name;
+        std::deque<Job> jobs;       ///< FIFO within the client.
+        std::uint64_t deficit = 0;  ///< Banked gate credit.
+        std::size_t running = 0;    ///< Picked up, not yet finished.
     };
 
     /** Result-tier coordinates (shared with core/result_cache.h). */
@@ -412,10 +468,18 @@ class CompileService
     };
 
     void workerLoop();
-    void execute(Job job);
 
-    /** Push the job, or deliver it Cancelled if the service stopped. */
-    void enqueueOrCancel(Job job);
+    /**
+     * DRR pick: the next job a free worker should run, booked as
+     * running; nullopt when nothing queued is within budget.
+     */
+    std::optional<Job> pickLocked();
+
+    /** Close the current turn and move the cursor to the next client. */
+    void endTurnLocked();
+
+    /** Book a finished job; drop its client once it has no work left. */
+    void finishLocked(const std::string &client);
 
     /** Run one job to an outcome: cache, retry loop, delta exchange. */
     CompileOutcome runJob(CompileRequest &request);
@@ -428,17 +492,16 @@ class CompileService
                 const JobControl &control);
 
     /**
-     * Resolve the job's promise (whichever flavour) and book the
-     * failure/retry counters — the single accounting point every
-     * delivery funnels through.
+     * Book the failure/retry counters and run the job's callback — the
+     * single accounting point every delivery funnels through.
      */
     void deliver(Job job, CompileOutcome outcome);
 
     /**
      * Sleep the deterministic backoff before retry `attempt + 1`.
      * False when the retry is pointless (deadline would expire inside
-     * the backoff, token/shutdown already set) — the caller then keeps
-     * the Transient error as the outcome.
+     * the backoff, token already set) — the caller then keeps the
+     * Transient error as the outcome.
      */
     bool backoffBeforeRetry(const CompileRequest &request,
                             int attempt) const;
@@ -477,17 +540,20 @@ class CompileService
     CompileServiceConfig config_;
     std::vector<std::thread> workers_;
 
-    std::mutex queueMutex_;
-    std::condition_variable queueCv_;
-    std::deque<Job> queue_;
-    bool stopping_ = false;
+    // ---- the queue (all guarded by queueMutex_) ----------------------
+    mutable std::mutex queueMutex_;
+    std::condition_variable queueCv_; ///< Work queued or budget freed.
 
     /**
-     * Cooperative shutdown signal wired into every in-flight job's
-     * JobControl, so a long compile notices teardown at its next
-     * checkpoint instead of holding the join.
+     * Active clients in DRR order (the order they became active); a
+     * client leaves when it has nothing queued or running, so the ring
+     * is bounded by live jobs.
      */
-    std::atomic<bool> shutdownFlag_{false};
+    std::vector<ClientQueue> ring_;
+    std::size_t cursor_ = 0;  ///< Ring position whose turn it is.
+    bool turnOpen_ = false;   ///< ring_[cursor_] banked this turn's quantum.
+    bool stopping_ = false;
+    AdmissionStats counters_; ///< Monotonic fields only.
 
     mutable std::mutex cacheMutex_; ///< Snapshot tier; also cacheStats().
 

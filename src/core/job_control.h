@@ -36,18 +36,13 @@ struct JobControl
     /** Caller's cancellation token (may be null). Set → Cancelled. */
     const std::atomic<bool> *cancel = nullptr;
 
-    /** Service-shutdown flag (may be null). Set → Cancelled. */
-    const std::atomic<bool> *shutdown = nullptr;
-
     /** Scheduler checkpoint cadence, in retired routing steps. */
     int checkEveryGates = 128;
 
     bool cancelRequested() const
     {
-        return (cancel != nullptr &&
-                cancel->load(std::memory_order_relaxed)) ||
-               (shutdown != nullptr &&
-                shutdown->load(std::memory_order_relaxed));
+        return cancel != nullptr &&
+               cancel->load(std::memory_order_relaxed);
     }
 
     bool deadlineExpired() const

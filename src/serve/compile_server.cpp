@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <thread>
 #include <utility>
 
 #include <arpa/inet.h>
@@ -31,6 +32,7 @@ serviceConfigOf(const CompileServerConfig &config)
     service.cacheCapacity = config.cacheCapacity;
     service.diskCachePath = config.diskCachePath;
     service.diskCacheCapacity = config.diskCacheCapacity;
+    service.admission = config.admission;
     return service;
 }
 
@@ -50,8 +52,7 @@ errorResponse(std::uint64_t id, const MusstiError &error, int attempts = 1)
 } // namespace
 
 CompileServer::CompileServer(const CompileServerConfig &config)
-    : config_(config), service_(serviceConfigOf(config)),
-      admission_(service_, config.admission)
+    : config_(config), service_(serviceConfigOf(config))
 {}
 
 CompileServer::~CompileServer()
@@ -69,14 +70,15 @@ CompileServer::start()
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
 
     // Loopback only: the daemon has no auth story; remote use belongs
-    // behind a tunnel.
+    // behind a tunnel. A full backlog drops SYNs, which clients feel as
+    // 1 s retransmits, so a burst of connects gets the system maximum.
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = htons(static_cast<std::uint16_t>(config_.port));
     if (::bind(fd, reinterpret_cast<const sockaddr *>(&addr),
                sizeof addr) != 0 ||
-        ::listen(fd, 16) != 0) {
+        ::listen(fd, SOMAXCONN) != 0) {
         ::close(fd);
         return false;
     }
@@ -110,9 +112,8 @@ CompileServer::stop()
         listenFd_ = -1;
     }
 
-    // Drain inner layers before cutting sessions: queued jobs stream
-    // Cancelled responses, in-flight jobs finish and stream results.
-    admission_.shutdown();
+    // Drain the service before cutting sessions: queued jobs stream
+    // Cancelled responses, running jobs finish and stream results.
     service_.shutdown();
 
     std::lock_guard<std::mutex> lock(sessionsMutex_);
@@ -121,15 +122,10 @@ CompileServer::stop()
         if (session->fd >= 0)
             ::shutdown(session->fd, SHUT_RD);
     }
-    for (auto &session : sessions_) {
-        if (session->reader.joinable())
-            session->reader.join();
-        std::lock_guard<std::mutex> state(session->stateMutex);
-        if (session->fd >= 0) {
-            ::close(session->fd);
-            session->fd = -1;
-        }
-    }
+    // Each reader closes its own fd on the way out.
+    for (auto &session : sessions_)
+        session->reader.join();
+    sessions_.clear();
 }
 
 void
@@ -147,6 +143,16 @@ CompileServer::acceptLoop()
         if (fd < 0) {
             if (errno == EINTR)
                 continue;
+            if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+                errno == ENOMEM || errno == ECONNABORTED) {
+                // Out of fds or memory, or the peer gave up: transient.
+                // The pending connection stays queued; retry once
+                // finishing sessions had a moment to close theirs.
+                std::this_thread::sleep_for(std::chrono::milliseconds(10));
+                std::lock_guard<std::mutex> lock(sessionsMutex_);
+                reapFinishedLocked();
+                continue;
+            }
             break; // Listen socket shut down (stop() or SIGTERM path).
         }
         std::lock_guard<std::mutex> lock(sessionsMutex_);
@@ -154,6 +160,7 @@ CompileServer::acceptLoop()
             ::close(fd); // Lost the race against stop().
             break;
         }
+        reapFinishedLocked();
         auto session = std::make_unique<Session>();
         session->fd = fd;
         Session &ref = *session;
@@ -168,6 +175,20 @@ CompileServer::acceptLoop()
 }
 
 void
+CompileServer::reapFinishedLocked()
+{
+    std::erase_if(sessions_, [](const std::unique_ptr<Session> &session) {
+        {
+            std::lock_guard<std::mutex> state(session->stateMutex);
+            if (!session->finished)
+                return false;
+        }
+        session->reader.join(); // Past its last statement already.
+        return true;
+    });
+}
+
+void
 CompileServer::sessionLoop(Session &session)
 {
     std::string payload;
@@ -176,11 +197,14 @@ CompileServer::sessionLoop(Session &session)
 
     // EOF or cut read side: every accepted job still streams its
     // response, so the write side stays open until the last one lands.
+    // Then the fd goes back to the pool — under stateMutex, which is
+    // how stop() reads it.
     std::unique_lock<std::mutex> state(session.stateMutex);
     session.drained.wait(state,
                          [&session] { return session.outstanding == 0; });
-    // The fd itself is closed by stop() (which joins this thread first);
-    // closing here would race the number back into accept's pool.
+    ::close(session.fd);
+    session.fd = -1;
+    session.finished = true;
 }
 
 void
@@ -221,9 +245,8 @@ CompileServer::handleCompile(Session &session, ServeRequest request)
         ++session.outstanding;
     }
     const std::uint64_t id = request.id;
-    admission_.submit(
-        request.client, std::move(*job),
-        [this, &session, id](CompileOutcome outcome) {
+    service_.submitWithCallback(
+        std::move(*job), [this, &session, id](CompileOutcome outcome) {
             ServeResponse response;
             if (outcome.ok()) {
                 const CompileResult &result = *outcome.result;
@@ -240,10 +263,10 @@ CompileServer::handleCompile(Session &session, ServeRequest request)
                                          outcome.attempts);
             }
             sendResponse(session, response);
-            {
-                std::lock_guard<std::mutex> state(session.stateMutex);
-                --session.outstanding;
-            }
+            // Notify under the lock: once it drops, the session may
+            // close and be reaped, so nothing here may touch it after.
+            std::lock_guard<std::mutex> state(session.stateMutex);
+            --session.outstanding;
             session.drained.notify_all();
         });
 }
@@ -252,7 +275,7 @@ void
 CompileServer::handleStats(Session &session, std::uint64_t id)
 {
     const CompileService::CacheStats cache = service_.cacheStats();
-    const AdmissionStats admission = admission_.stats();
+    const AdmissionStats admission = service_.admissionStats();
     ServeResponse response;
     response.id = id;
     response.ok = true;
@@ -333,7 +356,8 @@ CompileServer::buildRequest(const ServeRequest &request) const
         backend = makeGridBackend(backend_name, spec.grid);
     }
 
-    CompileRequest job{std::move(backend), std::move(circuit), {}, {}, {}};
+    CompileRequest job{std::move(backend), std::move(circuit), {}, {}, {},
+                       request.client};
     if (request.hasSeed)
         job.seed = request.seed;
     if (request.deadlineMs > 0)

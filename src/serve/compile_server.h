@@ -4,15 +4,16 @@
  *
  *     transport (this file)  — framing, sessions, protocol
  *          |
- *     FairAdmission          — per-client DRR queues, in-flight budget
- *          |
- *     CompileService         — worker pool, retry, deadlines
- *          |
+ *     CompileService         — one DRR queue over clients, running-job
+ *          |                   budget, worker pool, retry, deadlines
  *     ResultCacheTier stack  — memory LRU, then persistent disk tier
  *
  * One session per accepted connection; each session has a reader
- * thread that decodes request frames and submits them through the
- * admission layer. Responses are STREAMED: each job's response frame
+ * thread that decodes request frames and submits them straight to the
+ * service, under the request's client name. A session whose peer hung
+ * up closes its socket once its last response is out, and the accept
+ * loop reaps it, so a long-lived daemon holds fds and threads only for
+ * live connections. Responses are STREAMED: each job's response frame
  * goes out the moment its outcome resolves (a per-session write mutex
  * keeps frames whole), so responses arrive out of order and clients
  * correlate by id. Every layer below the transport is deterministic —
@@ -26,10 +27,10 @@
  * code / message); nothing a client sends can take the daemon down.
  *
  * Graceful drain (stop(), also the SIGTERM path of the example
- * daemon): close the listen socket, cancel still-queued jobs through
- * FairAdmission::shutdown (each streams a Cancelled response), let
- * in-flight compiles finish, then shut the sessions' read sides and
- * join. Already-dispatched work is never abandoned mid-compile.
+ * daemon): close the listen socket, shut the service down — still-queued
+ * jobs stream Cancelled responses, running compiles finish and stream
+ * their results — then shut the sessions' read sides and join. Started
+ * work is never abandoned mid-compile.
  */
 #ifndef MUSSTI_SERVE_COMPILE_SERVER_H
 #define MUSSTI_SERVE_COMPILE_SERVER_H
@@ -43,7 +44,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/admission.h"
 #include "core/compile_service.h"
 #include "serve/protocol.h"
 
@@ -66,8 +66,12 @@ struct CompileServerConfig
     std::string diskCachePath;
     std::size_t diskCacheCapacity = 512;
 
-    /** Fairness policy of the admission layer. */
-    FairAdmissionConfig admission;
+    /**
+     * Fairness policy of the service queue. Unlike the library
+     * default, the daemon caps each client at 4 running jobs, so one
+     * tenant never holds every worker.
+     */
+    FairAdmissionConfig admission{256, 4};
 };
 
 /**
@@ -92,10 +96,10 @@ class CompileServer
     bool start();
 
     /**
-     * Graceful drain, in layer order: stop accepting, cancel queued
-     * admission work (streamed as Cancelled responses), drain in-flight
-     * compiles, stop the service pool, close sessions, join every
-     * thread. Idempotent; the destructor calls it.
+     * Graceful drain, in layer order: stop accepting, shut the service
+     * down (queued jobs stream Cancelled responses, running compiles
+     * finish), close sessions, join every thread. Idempotent; the
+     * destructor calls it.
      */
     void stop();
 
@@ -121,7 +125,6 @@ class CompileServer
 
     /** Layer introspection (stats endpoints, tests). */
     const CompileService &service() const { return service_; }
-    const FairAdmission &admission() const { return admission_; }
 
   private:
     struct Session
@@ -131,16 +134,20 @@ class CompileServer
         std::mutex writeMutex;           ///< One frame at a time.
         std::size_t outstanding = 0;     ///< Jobs not yet responded.
         std::condition_variable drained; ///< outstanding -> 0.
-        std::mutex stateMutex;           ///< outstanding + drained.
+        bool finished = false;           ///< Reader done, fd closed.
+        std::mutex stateMutex;           ///< fd, outstanding, finished.
     };
 
     void acceptLoop();
+
+    /** Join and drop sessions whose reader finished (sessionsMutex_). */
+    void reapFinishedLocked();
     void sessionLoop(Session &session);
 
     /** Decode + execute one request frame, streaming the response(s). */
     void handleFrame(Session &session, const std::string &payload);
 
-    /** Submit one compile through admission; response streams later. */
+    /** Submit one compile to the service; the response streams later. */
     void handleCompile(Session &session, ServeRequest request);
 
     /** Answer a stats request inline. */
@@ -158,7 +165,6 @@ class CompileServer
 
     CompileServerConfig config_;
     CompileService service_;
-    FairAdmission admission_;
 
     int listenFd_ = -1;
     int port_ = 0;

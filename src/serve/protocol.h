@@ -47,9 +47,9 @@ struct ServeRequest
     std::uint64_t id = 0;
 
     /**
-     * Admission identity: requests sharing a client string share one
-     * fair-admission queue (and its in-flight budget). Empty is legal —
-     * such requests pool under the anonymous client.
+     * Fairness identity (CompileRequest::client): requests sharing a
+     * client string share one DRR queue and its running-job budget.
+     * Empty is legal — such requests pool under the anonymous client.
      */
     std::string client;
 

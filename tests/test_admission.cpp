@@ -1,33 +1,37 @@
 /**
  * @file
- * Tests for the deficit-round-robin admission layer (core/admission.h):
- * pinned dispatch interleavings, the per-client in-flight budget,
- * shutdown/drain semantics, and the determinism contract — a compile's
- * result is identical through admission, at any interleaving, to a
- * direct service batch.
+ * Tests for the service queue's multi-tenant fairness
+ * (FairAdmissionConfig in core/compile_service.h): the deficit round
+ * robin a worker runs when it picks its next job, the per-client budget
+ * on concurrently RUNNING jobs, shutdown semantics, and the determinism
+ * contract — a compile's result is identical under any interleaving to
+ * a direct service batch.
  *
- * The interleaving tests pin the DRR schedule by parking a blocker
- * compile on a single-worker service: while the worker chews on it,
- * admission dispatch decisions (which are synchronous with submit) land
- * in a deterministic order, and queued-side effects release in service
- * FIFO order afterwards.
+ * The interleaving tests pin the DRR order by parking the single worker
+ * on a gated compile while the jobs under test queue up behind it: once
+ * the gate opens, the worker picks them one at a time, so the order in
+ * which their callbacks fire IS the DRR order.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/backend_factory.h"
-#include "core/admission.h"
 #include "core/compile_service.h"
 #include "core/pipeline.h"
 #include "workloads/workloads.h"
 
 namespace mussti {
 namespace {
+
+using std::chrono::milliseconds;
 
 std::shared_ptr<const ICompilerBackend>
 backend()
@@ -38,194 +42,301 @@ backend()
 }
 
 CompileRequest
-requestFor(const Circuit &circuit, std::uint64_t seed)
+requestFor(const Circuit &circuit, std::uint64_t seed,
+           const std::string &client = "")
 {
-    CompileRequest request{backend(), circuit, seed, {}, {}};
-    return request;
+    return {backend(), circuit, seed, {}, {}, client};
 }
 
-/** A compile big enough to park a worker for a while (>= 100 ms). */
-Circuit
-blockerCircuit()
+/** Poll `done` for up to 30 s; false on timeout. */
+template <typename Pred>
+bool
+eventually(Pred done)
 {
-    return makeBenchmark("qv", 64);
+    for (int i = 0; i < 30000; ++i) {
+        if (done())
+            return true;
+        std::this_thread::sleep_for(milliseconds(1));
+    }
+    return done();
 }
 
-TEST(Admission, DispatchLogPinsTheDrrInterleaving)
+/** Callbacks that record, in firing order, which client completed. */
+class Tally
 {
-    CompileServiceConfig service_config;
-    service_config.numThreads = 1;
-    service_config.cacheCapacity = 0;
-    CompileService service(service_config);
+  public:
+    std::function<void(CompileOutcome)>
+    sink(const std::string &client)
+    {
+        return [this, client](CompileOutcome outcome) {
+            EXPECT_TRUE(outcome.ok());
+            std::lock_guard<std::mutex> lock(mutex_);
+            order_.push_back(client);
+            cv_.notify_all();
+        };
+    }
 
+    /** The firing order once `count` callbacks have fired. */
+    std::vector<std::string>
+    waitFor(std::size_t count)
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock, [&] { return order_.size() >= count; });
+        return order_;
+    }
+
+  private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    std::vector<std::string> order_;
+};
+
+/**
+ * A backend that parks every compile until open() and records how many
+ * of its compiles ran at once.
+ */
+class GatedBackend : public ICompilerBackend
+{
+  public:
+    const std::string &name() const override { return inner_->name(); }
+    std::uint64_t configDigest() const override
+    {
+        return inner_->configDigest();
+    }
+
+    CompileResult compile(Circuit circuit) const override
+    {
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            ++running_;
+            maxRunning_ = std::max(maxRunning_, running_);
+            cv_.wait(lock, [this] { return open_; });
+        }
+        CompileResult result = inner_->compile(std::move(circuit));
+        std::lock_guard<std::mutex> lock(mutex_);
+        --running_;
+        return result;
+    }
+
+    void open()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        open_ = true;
+        cv_.notify_all();
+    }
+
+    int running() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return running_;
+    }
+
+    int maxRunning() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return maxRunning_;
+    }
+
+  private:
+    std::shared_ptr<const ICompilerBackend> inner_ = backend();
+    mutable std::mutex mutex_;
+    mutable std::condition_variable cv_;
+    mutable int running_ = 0;
+    mutable int maxRunning_ = 0;
+    bool open_ = false;
+};
+
+/** A one-worker, cache-off service under `policy`. */
+CompileServiceConfig
+singleWorker(const FairAdmissionConfig &policy = {})
+{
+    CompileServiceConfig config;
+    config.numThreads = 1;
+    config.cacheCapacity = 0;
+    config.admission = policy;
+    return config;
+}
+
+TEST(Admission, CallbackOrderPinsTheDrrInterleaving)
+{
+    // Quantum 1 against equal-cost jobs: every active client banks one
+    // credit per rotation, so turns alternate one job at a time — an
+    // order FIFO would never produce.
     FairAdmissionConfig policy;
-    policy.quantum = 1u << 20; // credit never the limiter here
-    policy.maxInFlightPerClient = 2;
-    FairAdmission admission(service, policy);
-
-    // Park the single worker so every admission decision below is made
-    // while nothing completes.
-    std::future<CompileResult> blocker =
-        service.submit(backend(), blockerCircuit());
+    policy.quantum = 1;
+    CompileService service(singleWorker(policy));
 
     const Circuit small = makeBenchmark("ghz", 8);
-    std::atomic<int> done{0};
-    const auto sink = [&done](CompileOutcome outcome) {
-        EXPECT_TRUE(outcome.ok());
-        ++done;
-    };
-    // A floods four; B two; C one. Budget 2 caps A and B at two
-    // dispatches; A's remaining two release one per A-completion.
-    admission.submit("A", requestFor(small, 1), sink);
-    admission.submit("A", requestFor(small, 2), sink);
-    admission.submit("A", requestFor(small, 3), sink);
-    admission.submit("A", requestFor(small, 4), sink);
-    admission.submit("B", requestFor(small, 5), sink);
-    admission.submit("B", requestFor(small, 6), sink);
-    admission.submit("C", requestFor(small, 7), sink);
+    const auto gate = std::make_shared<GatedBackend>();
+    std::future<CompileResult> blocker =
+        service.submit({gate, small, 0, {}, {}, "blocker"});
+    ASSERT_TRUE(eventually([&] { return gate->running() == 1; }));
 
+    Tally tally;
+    for (const char *client : {"A", "A", "A", "A", "B", "B", "C"})
+        service.submitWithCallback(requestFor(small, 1, client),
+                                   tally.sink(client));
+    EXPECT_EQ(service.admissionStats().queuedJobs, 7u);
+    EXPECT_EQ(service.admissionStats().activeClients, 4u);
+
+    gate->open();
     blocker.get();
-    admission.drain();
-    EXPECT_EQ(done.load(), 7);
+    const std::vector<std::string> expected = {"A", "B", "C", "A",
+                                              "B", "A", "A"};
+    EXPECT_EQ(tally.waitFor(7), expected);
 
-    const std::vector<std::string> expected = {"A", "A", "B", "B", "C",
-                                              "A", "A"};
-    EXPECT_EQ(admission.dispatchLog(), expected);
-
-    const AdmissionStats stats = admission.stats();
-    EXPECT_EQ(stats.submitted, 7u);
-    EXPECT_EQ(stats.dispatched, 7u);
-    EXPECT_EQ(stats.completed, 7u);
+    service.shutdown(); // Joins: the counters below are final.
+    const AdmissionStats stats = service.admissionStats();
+    EXPECT_EQ(stats.submitted, 8u);
+    EXPECT_EQ(stats.dispatched, 8u);
+    EXPECT_EQ(stats.completed, 8u);
     EXPECT_EQ(stats.queuedJobs, 0u);
     EXPECT_EQ(stats.inFlightJobs, 0u);
+    EXPECT_EQ(stats.activeClients, 0u); // Idle clients leave the ring.
 }
 
-TEST(Admission, InFlightBudgetHoldsABurstBack)
+TEST(Admission, DefaultPolicyIsFifo)
 {
-    CompileServiceConfig service_config;
-    service_config.numThreads = 1;
-    service_config.cacheCapacity = 0;
-    CompileService service(service_config);
-
-    FairAdmissionConfig policy;
-    policy.maxInFlightPerClient = 2;
-    FairAdmission admission(service, policy);
-
-    std::future<CompileResult> blocker =
-        service.submit(backend(), blockerCircuit());
-
+    // The library default (unbounded budget) with one client is the
+    // plain FIFO a batch caller expects.
+    CompileService service(singleWorker());
     const Circuit small = makeBenchmark("ghz", 8);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 5; ++i)
-        admission.submit("burst", requestFor(small, 10 + i),
-                         [&done](CompileOutcome outcome) {
-                             EXPECT_TRUE(outcome.ok());
-                             ++done;
-                         });
+    const auto gate = std::make_shared<GatedBackend>();
+    std::future<CompileResult> blocker = service.submit(gate, small);
+    ASSERT_TRUE(eventually([&] { return gate->running() == 1; }));
 
-    // While the blocker parks the worker, only the budget's worth may
-    // have been dispatched.
-    const AdmissionStats mid = admission.stats();
+    Tally tally;
+    const std::vector<std::string> order = {"j0", "j1", "j2", "j3", "j4"};
+    for (const std::string &name : order)
+        service.submitWithCallback(requestFor(small, 1), tally.sink(name));
+    gate->open();
+    blocker.get();
+    EXPECT_EQ(tally.waitFor(order.size()), order);
+}
+
+TEST(Admission, BudgetBoundsOneClientsRunningJobs)
+{
+    // Three workers, a budget of two: a client with six queued jobs
+    // runs two at a time, and the third worker stays free for anyone
+    // else.
+    CompileServiceConfig config;
+    config.numThreads = 3;
+    config.cacheCapacity = 0;
+    config.admission.maxInFlightPerClient = 2;
+    CompileService service(config);
+
+    const auto gated = std::make_shared<GatedBackend>();
+    const Circuit small = makeBenchmark("ghz", 8);
+    Tally tally;
+    for (int i = 0; i < 6; ++i)
+        service.submitWithCallback({gated, small, 10u + i, {}, {}, "sweep"},
+                                   tally.sink("sweep"));
+    ASSERT_TRUE(eventually([&] { return gated->running() == 2; }));
+
+    // The free worker serves another client while the sweep waits.
+    const CompileOutcome other =
+        service.submitOutcome(requestFor(small, 99, "ui")).get();
+    EXPECT_TRUE(other.ok());
+
+    // A third sweep compile had every chance to start by now.
+    std::this_thread::sleep_for(milliseconds(50));
+    EXPECT_EQ(gated->running(), 2);
+    const AdmissionStats mid = service.admissionStats();
     EXPECT_EQ(mid.inFlightJobs, 2u);
-    EXPECT_EQ(mid.queuedJobs, 3u);
+    EXPECT_EQ(mid.queuedJobs, 4u);
     EXPECT_EQ(mid.activeClients, 1u);
 
-    blocker.get();
-    admission.drain();
-    EXPECT_EQ(done.load(), 5);
-    EXPECT_EQ(admission.stats().dispatched, 5u);
+    gated->open();
+    EXPECT_EQ(tally.waitFor(6).size(), 6u);
+    EXPECT_EQ(gated->maxRunning(), 2);
 }
 
 TEST(Admission, QuantumMakesCostCountNotJobCount)
 {
-    // One-gate jobs vs the quantum: with quantum 1, a client banks one
-    // credit per rotation and a ghz-8 job costs its gate count, so a
-    // competing client's cheap jobs interleave ahead — the DRR serves
-    // WORK, not job slots. We only pin the aggregate here (the exact
-    // interleave is pinned by DispatchLogPinsTheDrrInterleaving).
-    CompileServiceConfig service_config;
-    service_config.numThreads = 2;
-    service_config.cacheCapacity = 0;
-    CompileService service(service_config);
-
-    FairAdmissionConfig policy;
-    policy.quantum = 1;
-    policy.maxInFlightPerClient = 0;
-    FairAdmission admission(service, policy);
+    // With quantum 1 a ghz-8 job costs its gate count in credit, so a
+    // client banks several rotations before each job starts — the DRR
+    // serves WORK, not job slots. Only the aggregate is pinned here
+    // (the exact interleave is pinned by
+    // CallbackOrderPinsTheDrrInterleaving).
+    CompileServiceConfig config;
+    config.numThreads = 2;
+    config.cacheCapacity = 0;
+    config.admission.quantum = 1;
+    CompileService service(config);
 
     const Circuit small = makeBenchmark("ghz", 8);
-    std::atomic<int> done{0};
+    Tally tally;
     for (int i = 0; i < 3; ++i)
-        admission.submit("x", requestFor(small, 20 + i),
-                         [&done](CompileOutcome outcome) {
-                             EXPECT_TRUE(outcome.ok());
-                             ++done;
-                         });
-    admission.drain();
-    EXPECT_EQ(done.load(), 3);
+        service.submitWithCallback(requestFor(small, 20 + i, "x"),
+                                   tally.sink("x"));
+    EXPECT_EQ(tally.waitFor(3).size(), 3u);
 }
 
 TEST(Admission, ShutdownCancelsQueuedAndDeliversEverything)
 {
-    CompileServiceConfig service_config;
-    service_config.numThreads = 1;
-    service_config.cacheCapacity = 0;
-    CompileService service(service_config);
-
     FairAdmissionConfig policy;
     policy.maxInFlightPerClient = 1;
-    FairAdmission admission(service, policy);
+    CompileService service(singleWorker(policy));
 
-    std::future<CompileResult> blocker =
-        service.submit(backend(), blockerCircuit());
-
-    const Circuit small = makeBenchmark("ghz", 8);
     std::atomic<int> ok{0};
     std::atomic<int> cancelled{0};
-    for (int i = 0; i < 4; ++i)
-        admission.submit("c", requestFor(small, 30 + i),
-                         [&ok, &cancelled](CompileOutcome outcome) {
-                             if (outcome.ok()) {
-                                 ++ok;
-                             } else {
-                                 EXPECT_EQ(outcome.errorInfo().code(),
-                                           "job.cancelled");
-                                 ++cancelled;
-                             }
-                         });
+    const auto count = [&ok, &cancelled](CompileOutcome outcome) {
+        if (outcome.ok()) {
+            ++ok;
+        } else {
+            EXPECT_EQ(outcome.errorInfo().code(), "job.cancelled");
+            ++cancelled;
+        }
+    };
+    // The client's first job parks the worker; the other three queue.
+    const Circuit small = makeBenchmark("ghz", 8);
+    const auto gate = std::make_shared<GatedBackend>();
+    service.submitWithCallback({gate, small, 30, {}, {}, "c"}, count);
+    ASSERT_TRUE(eventually([&] { return gate->running() == 1; }));
+    for (int i = 1; i < 4; ++i)
+        service.submitWithCallback(requestFor(small, 30 + i, "c"), count);
 
-    admission.shutdown(); // one dispatched, three still queued
-    blocker.get();
+    // Shutdown cancels the queue first, then waits for the running job,
+    // which the gate releases only once the cancellations are booked.
+    std::thread opener([&] {
+        EXPECT_TRUE(eventually([&] {
+            return service.admissionStats().cancelledQueued == 3;
+        }));
+        gate->open();
+    });
+    service.shutdown(); // one running, three still queued
+    opener.join();
 
     EXPECT_EQ(ok.load() + cancelled.load(), 4);
     EXPECT_EQ(cancelled.load(), 3);
-    EXPECT_EQ(admission.stats().cancelledQueued, 3u);
+    EXPECT_EQ(service.admissionStats().cancelledQueued, 3u);
 
     // Post-shutdown submissions resolve Cancelled inline.
     bool rejected = false;
-    admission.submit("c", requestFor(small, 99),
-                     [&rejected](CompileOutcome outcome) {
-                         EXPECT_FALSE(outcome.ok());
-                         EXPECT_EQ(outcome.errorInfo().category(),
-                                   ErrorCategory::Cancelled);
-                         rejected = true;
-                     });
+    service.submitWithCallback(requestFor(small, 99, "c"),
+                               [&rejected](CompileOutcome outcome) {
+                                   EXPECT_FALSE(outcome.ok());
+                                   EXPECT_EQ(outcome.errorInfo().category(),
+                                             ErrorCategory::Cancelled);
+                                   rejected = true;
+                               });
     EXPECT_TRUE(rejected);
 }
 
-TEST(Admission, DrainOnIdleReturnsImmediately)
+TEST(Admission, IdleServiceReportsAnEmptyQueue)
 {
     CompileService service{CompileServiceConfig{}};
-    FairAdmission admission(service);
-    admission.drain();
-    EXPECT_EQ(admission.stats().submitted, 0u);
+    const AdmissionStats stats = service.admissionStats();
+    EXPECT_EQ(stats.submitted, 0u);
+    EXPECT_EQ(stats.activeClients, 0u);
+    service.shutdown();
 }
 
 TEST(Admission, ResultsAreBitIdenticalToADirectBatch)
 {
-    // The layering contract: admission reorders dispatch, never what a
-    // job compiles to. Two clients interleaving through a multi-thread
-    // pool must fingerprint identically to a direct compileAll.
+    // Fairness reorders starts, never what a job compiles to. Two
+    // clients interleaving through a multi-thread pool must fingerprint
+    // identically to a direct compileAll.
     const std::vector<std::string> families = {"ghz", "bv", "qft",
                                                "adder"};
     std::vector<CompileRequest> direct;
@@ -242,27 +353,23 @@ TEST(Admission, ResultsAreBitIdenticalToADirectBatch)
             want.push_back(resultFingerprint(result));
     }
 
-    CompileServiceConfig service_config;
-    service_config.numThreads = 4;
-    CompileService service(service_config);
-    FairAdmissionConfig policy;
-    policy.maxInFlightPerClient = 1; // force queueing + re-pumps
-    FairAdmission admission(service, policy);
+    CompileServiceConfig config;
+    config.numThreads = 4;
+    config.admission.maxInFlightPerClient = 1; // force queueing
+    CompileService service(config);
 
-    std::vector<std::uint64_t> got(families.size());
-    std::atomic<int> done{0};
-    for (std::size_t i = 0; i < families.size(); ++i) {
-        admission.submit(i % 2 == 0 ? "even" : "odd",
-                         requestFor(makeBenchmark(families[i], 16),
-                                    CompileService::deriveJobSeed(7, i)),
-                         [&got, &done, i](CompileOutcome outcome) {
-                             ASSERT_TRUE(outcome.ok());
-                             got[i] = resultFingerprint(*outcome.result);
-                             ++done;
-                         });
+    std::vector<std::future<CompileOutcome>> outcomes;
+    for (std::size_t i = 0; i < families.size(); ++i)
+        outcomes.push_back(service.submitOutcome(
+            requestFor(makeBenchmark(families[i], 16),
+                       CompileService::deriveJobSeed(7, i),
+                       i % 2 == 0 ? "even" : "odd")));
+    std::vector<std::uint64_t> got;
+    for (std::future<CompileOutcome> &future : outcomes) {
+        const CompileOutcome outcome = future.get();
+        ASSERT_TRUE(outcome.ok());
+        got.push_back(resultFingerprint(*outcome.result));
     }
-    admission.drain();
-    ASSERT_EQ(done.load(), static_cast<int>(families.size()));
     EXPECT_EQ(want, got);
 }
 

@@ -520,27 +520,5 @@ TEST(CompileService, CacheStatsTrackBothTiers)
     EXPECT_FALSE(stats.deltaQuarantined);
 }
 
-TEST(CompileService, ParseThreadCountValidatesInput)
-{
-    // Auto (hardware concurrency) cases.
-    EXPECT_EQ(CompileService::parseThreadCount(nullptr), 0);
-    EXPECT_EQ(CompileService::parseThreadCount(""), 0);
-
-    // Well-formed values pass through.
-    EXPECT_EQ(CompileService::parseThreadCount("1"), 1);
-    EXPECT_EQ(CompileService::parseThreadCount("16"), 16);
-
-    // Garbage and non-positive values fall back to auto (std::atoi
-    // silently turned these into 0 or accepted them).
-    EXPECT_EQ(CompileService::parseThreadCount("lots"), 0);
-    EXPECT_EQ(CompileService::parseThreadCount("4x"), 0);
-    EXPECT_EQ(CompileService::parseThreadCount("0"), 0);
-    EXPECT_EQ(CompileService::parseThreadCount("-3"), 0);
-
-    // Absurd values clamp.
-    EXPECT_EQ(CompileService::parseThreadCount("99999"),
-              CompileService::kMaxThreads);
-}
-
 } // namespace
 } // namespace mussti

@@ -5,7 +5,9 @@
  * determinism contract (server fingerprint == local compile), the
  * persistent disk tier across a server restart, structured error
  * responses, deadline enforcement under load, fair admission keeping a
- * sweep from starving an interactive client, and graceful drain.
+ * sweep from starving an interactive client, graceful drain, and the
+ * daemon's resource bounds (finished sessions release their fds; fd
+ * exhaustion pauses accept instead of ending it).
  */
 #include <gtest/gtest.h>
 
@@ -14,14 +16,21 @@
 #include <filesystem>
 #include <string>
 #include <thread>
-#include <unistd.h>
 #include <vector>
+
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "baselines/backend_factory.h"
 #include "common/logging.h"
 #include "core/pipeline.h"
 #include "serve/compile_client.h"
 #include "serve/compile_server.h"
+#include "serve/framing.h"
 #include "serve/protocol.h"
 #include "workloads/workloads.h"
 
@@ -61,6 +70,28 @@ counter(const ServeResponse &stats, const std::string &key)
         if (entry.first == key)
             return entry.second;
     return -1;
+}
+
+/** Open file descriptors of this process. */
+std::size_t
+openFdCount()
+{
+    std::size_t count = 0;
+    for (const auto &entry : fs::directory_iterator("/proc/self/fd")) {
+        (void)entry;
+        ++count;
+    }
+    return count;
+}
+
+/** Poll `done` every 10 ms for up to 10 s; false on timeout. */
+template <typename Pred>
+bool
+eventually(Pred done)
+{
+    for (int i = 0; i < 1000 && !done(); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    return done();
 }
 
 ServeRequest
@@ -356,10 +387,11 @@ TEST(Serve, ABlownDeadlineIsAStructuredTimeout)
     ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
 
     // Park the single worker, then queue a 1 ms-deadline job behind it:
-    // by the time a worker frees up the deadline is long gone.
-    const std::uint64_t blocker =
-        client.send(familyRequest("qv", 64, "blocker"));
-    ServeRequest urgent = familyRequest("ghz", 8, "urgent");
+    // by the time a worker frees up the deadline is long gone. Both come
+    // from one client, whose queue is FIFO: were they two clients and
+    // both still queued, DRR would rightly start the cheap job first.
+    const std::uint64_t blocker = client.send(familyRequest("qv", 64));
+    ServeRequest urgent = familyRequest("ghz", 8);
     urgent.deadlineMs = 1;
     const ServeResponse late = client.await(client.send(urgent));
     EXPECT_FALSE(late.ok);
@@ -453,6 +485,89 @@ TEST(Serve, GracefulStopStreamsCancelledForQueuedWork)
     }
     EXPECT_EQ(ok + cancelled, 5);
     EXPECT_GE(ok, 1); // the in-flight blocker was never abandoned
+}
+
+TEST(Serve, FinishedSessionsReleaseTheirFds)
+{
+    CompileServerConfig config;
+    config.port = 0;
+    config.numThreads = 1;
+    CompileServer server(config);
+    ASSERT_TRUE(server.start());
+    const std::size_t baseline = openFdCount();
+    for (int i = 0; i < 300; ++i) {
+        CompileClient client;
+        ASSERT_TRUE(client.connect("127.0.0.1", server.port())) << i;
+        if (i % 50 == 0) { // Some sessions carry traffic first.
+            EXPECT_TRUE(client.stats().ok);
+        }
+    }
+
+    // Each session closes its socket once the peer hangs up, so the
+    // count returns to the baseline rather than growing by 300.
+    EXPECT_TRUE(eventually([&] { return openFdCount() <= baseline; }))
+        << openFdCount() << " fds open, baseline " << baseline;
+
+    // Still serving after all that churn.
+    CompileClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+    EXPECT_TRUE(client.await(client.send(familyRequest("ghz", 8))).ok);
+    server.stop();
+}
+
+TEST(Serve, AcceptSurvivesFdExhaustion)
+{
+    CompileServerConfig config;
+    config.port = 0;
+    config.numThreads = 1;
+    CompileServer server(config);
+    ASSERT_TRUE(server.start());
+
+    // The socket is made while fds are still available; connecting it
+    // needs no new one.
+    const int raw = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(raw, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+
+    // Cap the fd table at the lowest free slot: nothing new can open,
+    // so the daemon's accept fails with EMFILE while the cap holds.
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    const int lowest_free = ::open("/dev/null", O_RDONLY);
+    ASSERT_GE(lowest_free, 0);
+    ::close(lowest_free);
+    rlimit capped = saved;
+    capped.rlim_cur = static_cast<rlim_t>(lowest_free);
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &capped), 0);
+    const int connected = ::connect(
+        raw, reinterpret_cast<const sockaddr *>(&addr), sizeof addr);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+    ASSERT_EQ(connected, 0);
+
+    // The connection that arrived during the exhaustion is served once
+    // fds are back (bounded wait: a dead accept loop fails, not hangs).
+    timeval timeout{10, 0};
+    ::setsockopt(raw, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    ServeRequest request = familyRequest("ghz", 8);
+    request.id = 1;
+    ASSERT_TRUE(writeFrame(raw, encodeRequest(request)));
+    std::string payload;
+    ASSERT_TRUE(readFrame(raw, payload));
+    ServeResponse response;
+    ASSERT_TRUE(decodeResponse(payload, response));
+    EXPECT_EQ(response.id, 1u);
+    EXPECT_TRUE(response.ok);
+    ::close(raw);
+
+    // And so are new ones.
+    CompileClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+    EXPECT_TRUE(client.await(client.send(familyRequest("ghz", 8))).ok);
+    server.stop();
 }
 
 } // namespace
