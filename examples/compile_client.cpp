@@ -35,6 +35,8 @@
 #include <sstream>
 #include <string>
 
+#include "common/logging.h"
+#include "common/string_util.h"
 #include "serve/compile_client.h"
 #include "serve/protocol.h"
 
@@ -77,10 +79,8 @@ printResponse(const ServeResponse &response, bool json)
     return true;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::string host = "127.0.0.1";
     int port = 7717;
@@ -98,7 +98,7 @@ main(int argc, char **argv)
         if (arg == "--host" && i + 1 < argc) {
             host = argv[++i];
         } else if (arg == "--port" && i + 1 < argc) {
-            port = std::atoi(argv[++i]);
+            port = parseIntArg(argv[++i], "port");
         } else if (arg == "--client" && i + 1 < argc) {
             request.client = argv[++i];
         } else if (arg == "--qasm" && i + 1 < argc) {
@@ -108,12 +108,17 @@ main(int argc, char **argv)
         } else if (arg == "--backend" && i + 1 < argc) {
             request.backend = argv[++i];
         } else if (arg == "--seed" && i + 1 < argc) {
-            request.seed = std::strtoull(argv[++i], nullptr, 0);
+            const std::string text = argv[++i];
+            char *end = nullptr;
+            request.seed = std::strtoull(text.c_str(), &end, 0);
+            MUSSTI_REQUIRE(!text.empty() && text[0] != '-' && *end == '\0',
+                           "unparsable seed `" << text
+                           << "` (want an unsigned integer)");
             request.hasSeed = true;
         } else if (arg == "--deadline-ms" && i + 1 < argc) {
-            request.deadlineMs = std::atoll(argv[++i]);
+            request.deadlineMs = parseIntArg(argv[++i], "deadline");
         } else if (arg == "--count" && i + 1 < argc) {
-            count = std::atoi(argv[++i]);
+            count = parseIntArg(argv[++i], "request count");
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--stats") {
@@ -124,7 +129,7 @@ main(int argc, char **argv)
         } else if (target.empty()) {
             target = arg;
         } else {
-            qubits = std::atoi(arg.c_str());
+            qubits = parseIntArg(arg, "qubit count");
         }
     }
 
@@ -184,4 +189,12 @@ main(int argc, char **argv)
         all_ok = printResponse(client.await(ids[i]), json) && all_ok;
     }
     return all_ok ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runCliMain(run, argc, argv);
 }

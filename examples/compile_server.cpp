@@ -22,12 +22,13 @@
  */
 #include <atomic>
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include <sys/socket.h>
 
+#include "common/logging.h"
+#include "common/string_util.h"
 #include "serve/compile_server.h"
 
 using namespace mussti;
@@ -55,10 +56,18 @@ usage()
         "                      [--quantum N] [--inflight N]\n";
 }
 
-} // namespace
+/** parseIntArg, then reject values below `min` (exit 2 via fatal()). */
+int
+parseAtLeast(const std::string &text, const std::string &what, int min)
+{
+    const int value = parseIntArg(text, what);
+    MUSSTI_REQUIRE(value >= min, what << " `" << text
+                                      << "` must be at least " << min);
+    return value;
+}
 
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CompileServerConfig config;
     config.port = 7717;
@@ -66,23 +75,27 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--port" && i + 1 < argc) {
-            config.port = std::atoi(argv[++i]);
+            const std::string text = argv[++i];
+            config.port = parseAtLeast(text, "port", 0);
+            MUSSTI_REQUIRE(config.port <= 65535,
+                           "port `" << text << "` exceeds 65535");
         } else if (arg == "--threads" && i + 1 < argc) {
-            config.numThreads = std::atoi(argv[++i]);
+            config.numThreads = parseAtLeast(argv[++i], "thread count", 0);
         } else if (arg == "--cache" && i + 1 < argc) {
-            config.cacheCapacity =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            config.cacheCapacity = static_cast<std::size_t>(
+                parseAtLeast(argv[++i], "cache capacity", 0));
         } else if (arg == "--disk-cache" && i + 1 < argc) {
             config.diskCachePath = argv[++i];
         } else if (arg == "--disk-cap" && i + 1 < argc) {
-            config.diskCacheCapacity =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            config.diskCacheCapacity = static_cast<std::size_t>(
+                parseAtLeast(argv[++i], "disk-tier capacity", 0));
         } else if (arg == "--quantum" && i + 1 < argc) {
-            config.admission.quantum =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            config.admission.quantum = static_cast<std::uint64_t>(
+                parseAtLeast(argv[++i], "DRR quantum", 0));
         } else if (arg == "--inflight" && i + 1 < argc) {
             config.admission.maxInFlightPerClient =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+                static_cast<std::size_t>(
+                    parseAtLeast(argv[++i], "in-flight budget", 0));
         } else {
             usage();
             return 2;
@@ -108,4 +121,12 @@ main(int argc, char **argv)
     server.stop();
     std::cout << "compile_server: stopped" << std::endl;
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runCliMain(run, argc, argv);
 }

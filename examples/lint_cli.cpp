@@ -30,6 +30,7 @@
 #include "arch/device_registry.h"
 #include "baselines/backend_factory.h"
 #include "circuit/qasm.h"
+#include "common/logging.h"
 #include "common/string_util.h"
 #include "core/compiler.h"
 #include "lint/corrupt.h"
@@ -58,10 +59,8 @@ renderAndExit(const LintReport &report, bool json)
     return report.ok() ? 0 : 1;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::string backend_name = "mussti";
     std::string device_spec;
@@ -153,4 +152,12 @@ main(int argc, char **argv)
         lintSchedule(result.schedule, result.lowered, *device);
     report.merge(lintDeviceSpec(spec, circuit.numQubits()));
     return renderAndExit(report, json);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runCliMain(run, argc, argv);
 }

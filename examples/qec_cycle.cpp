@@ -6,21 +6,25 @@
  *
  *   qec_cycle [distance] [rounds]
  */
-#include <cstdlib>
 #include <iostream>
 
+#include "common/logging.h"
+#include "common/string_util.h"
 #include "core/compiler.h"
 #include "sim/analyzer.h"
 #include "sim/timeline.h"
 #include "workloads/workloads.h"
 
-int
-main(int argc, char **argv)
-{
-    using namespace mussti;
+using namespace mussti;
 
-    const int distance = argc > 1 ? std::atoi(argv[1]) : 5;
-    const int rounds = argc > 2 ? std::atoi(argv[2]) : 2;
+namespace {
+
+int
+run(int argc, char **argv)
+{
+    const int distance =
+        argc > 1 ? parseIntArg(argv[1], "code distance") : 5;
+    const int rounds = argc > 2 ? parseIntArg(argv[2], "round count") : 2;
 
     const Circuit circuit = makeSurfaceCodeCycle(distance, rounds);
     const MusstiCompiler compiler;
@@ -62,4 +66,12 @@ main(int argc, char **argv)
               << t.makespanUs << " us (" << t.parallelism()
               << "x overlap available)\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runCliMain(run, argc, argv);
 }

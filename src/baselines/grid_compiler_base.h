@@ -42,21 +42,6 @@ class GridCompilerBase : public ICompilerBackend
     GridCompilerBase(std::string name, const GridConfig &grid,
                      const PhysicalParams &params);
 
-    /** Compile a circuit and evaluate it on the grid device. */
-    CompileResult compile(Circuit circuit) const override;
-
-    /**
-     * The grid strategies have no delta path (the candidates are
-     * ignored, nothing is captured), but deadlines/cancellation are
-     * honoured at every pass boundary of the pipeline.
-     */
-    CompileResult
-    compileControlled(Circuit circuit,
-                      const std::optional<std::uint64_t> &seed,
-                      const std::shared_ptr<SchedulerWorkspace> &workspace,
-                      DeltaCompileIO &delta,
-                      const JobControl *control) const override;
-
     const std::string &name() const override { return name_; }
 
     std::uint64_t configDigest() const override;
@@ -71,6 +56,14 @@ class GridCompilerBase : public ICompilerBackend
     const GridDevice &device() const { return *device_; }
 
   protected:
+    /**
+     * Run the pipeline. The grid strategies are deterministic and have
+     * no scheduler arena or delta path, so only `options.control`
+     * matters; it is honoured at every pass boundary.
+     */
+    CompileResult doCompile(Circuit circuit,
+                            const CompileOptions &options) const override;
+
     std::string name_;
     /** Registry-created, immutable; shared with every job's context. */
     std::shared_ptr<const GridDevice> device_;

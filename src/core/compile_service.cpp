@@ -484,8 +484,11 @@ CompileService::compileOnce(
         delta.candidates = probeSnapshots(key, circuit);
     const bool had_candidates = !delta.candidates.empty();
 
-    CompileResult compiled = request.backend->compileControlled(
-        std::move(circuit), request.seed, workspace, delta, &control);
+    CompileResult compiled = request.backend->compile(
+        std::move(circuit), {.seed = request.seed,
+                             .workspace = workspace,
+                             .delta = &delta,
+                             .control = &control});
 
     if (tier_on) {
         if (delta.resumed) {

@@ -14,9 +14,9 @@
  * (core/schedule_snapshot.h) keyed by (input PREFIX hash, config
  * digest, seed): when a submitted circuit shares a prefix with an
  * earlier compile, the matching snapshots ride into the backend's
- * compileDelta call as resume candidates, so the recompile costs time
- * proportional to the edited suffix instead of the whole circuit —
- * with a bit-identical result either way.
+ * compile call (CompileOptions::delta) as resume candidates, so the
+ * recompile costs time proportional to the edited suffix instead of
+ * the whole circuit — with a bit-identical result either way.
  *
  * Failure is a first-class outcome (see "Failure semantics" in
  * src/core/README.md): every job resolves to a CompileOutcome carrying
@@ -134,13 +134,14 @@ struct CompileServiceConfig
 
     /**
      * Delta-compile checkpoints kept (LRU evicted); 0 disables the
-     * snapshot tier entirely — jobs then run through the plain
-     * compile path. With the tier on, every job routes through
-     * ICompilerBackend::compileControlled with a delta exchange:
-     * snapshots captured by past compiles are offered as resume
-     * candidates to future jobs that share an input prefix (same
-     * config digest and seed), turning an append-or-reparameterize
-     * recompile into work proportional to the edited suffix. Results
+     * snapshot tier entirely — jobs then offer no resume candidates
+     * and capture nothing. With the tier on, every job's
+     * ICompilerBackend::compile call carries a delta exchange
+     * (CompileOptions::delta): snapshots captured by past compiles are
+     * offered as resume candidates to future jobs that share an input
+     * prefix (same config digest and seed), turning an
+     * append-or-reparameterize recompile into work proportional to the
+     * edited suffix. Results
      * stay bit-identical by contract; backends without a delta path
      * are unaffected.
      */
@@ -178,7 +179,10 @@ struct CompileServiceConfig
     FairAdmissionConfig admission;
 };
 
-/** One unit of work for the service. */
+/**
+ * One unit of work for the service. Every optional member is
+ * default-initialised, so the shorter aggregate forms stay warning-free.
+ */
 struct CompileRequest
 {
     std::shared_ptr<const ICompilerBackend> backend;
@@ -189,14 +193,14 @@ struct CompileRequest
      * the backend's own configured seed (identical to a direct
      * backend->compile() call).
      */
-    std::optional<std::uint64_t> seed;
+    std::optional<std::uint64_t> seed{};
 
     /**
      * Absolute deadline. Checked before the job starts, at every pass
      * boundary, and every JobControl::checkEveryGates routing steps;
      * past it the job resolves with a Timeout error.
      */
-    std::optional<std::chrono::steady_clock::time_point> deadline;
+    std::optional<std::chrono::steady_clock::time_point> deadline{};
 
     /**
      * Cancellation token (may be null). Set it to true at any time —
@@ -204,13 +208,11 @@ struct CompileRequest
      * or immediately if still queued when checked. One token may be
      * shared by many requests to cancel them as a group.
      */
-    std::shared_ptr<const std::atomic<bool>> cancel;
+    std::shared_ptr<const std::atomic<bool>> cancel{};
 
     /**
      * Fairness identity: requests naming the same client share one DRR
      * queue and one running-job budget. Empty is the anonymous client.
-     * (Default-initialised so the shorter aggregate forms stay
-     * warning-free.)
      */
     std::string client{};
 };
@@ -484,7 +486,7 @@ class CompileService
     /** Run one job to an outcome: cache, retry loop, delta exchange. */
     CompileOutcome runJob(CompileRequest &request);
 
-    /** One compile attempt through the delta/controlled path. */
+    /** One compile attempt, carrying the job's delta exchange and control. */
     CompileResult
     compileOnce(const CompileRequest &request, Circuit circuit,
                 const CacheKey &key,

@@ -104,20 +104,6 @@ class GatedBackend : public ICompilerBackend
         return inner_->configDigest();
     }
 
-    CompileResult compile(Circuit circuit) const override
-    {
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            ++running_;
-            maxRunning_ = std::max(maxRunning_, running_);
-            cv_.wait(lock, [this] { return open_; });
-        }
-        CompileResult result = inner_->compile(std::move(circuit));
-        std::lock_guard<std::mutex> lock(mutex_);
-        --running_;
-        return result;
-    }
-
     void open()
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -135,6 +121,22 @@ class GatedBackend : public ICompilerBackend
     {
         std::lock_guard<std::mutex> lock(mutex_);
         return maxRunning_;
+    }
+
+  protected:
+    CompileResult doCompile(Circuit circuit,
+                            const CompileOptions &options) const override
+    {
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            ++running_;
+            maxRunning_ = std::max(maxRunning_, running_);
+            cv_.wait(lock, [this] { return open_; });
+        }
+        CompileResult result = inner_->compile(std::move(circuit), options);
+        std::lock_guard<std::mutex> lock(mutex_);
+        --running_;
+        return result;
     }
 
   private:

@@ -385,7 +385,7 @@ TEST(CompileService, ExpiredDeadlineResolvesTimeout)
 
 TEST(CompileService, JobControlUnwindsTheCompilePipeline)
 {
-    // Drive the backend's controlled entry point directly: the
+    // Drive the backend's entry point directly with a control: the
     // checkpoint chain (entry, pass boundaries, routing loop) must
     // unwind a real compile with the right quiet category.
     const auto backend = makeMusstiBackend();
@@ -395,8 +395,8 @@ TEST(CompileService, JobControlUnwindsTheCompilePipeline)
                          std::chrono::milliseconds(1);
     DeltaCompileIO delta;
     try {
-        (void)backend->compileControlled(makeBenchmark("ghz", 24), {},
-                                         nullptr, delta, &timed_out);
+        (void)backend->compile(makeBenchmark("ghz", 24),
+                               {.delta = &delta, .control = &timed_out});
         FAIL() << "expected Timeout";
     } catch (const MusstiError &err) {
         EXPECT_EQ(err.category(), ErrorCategory::Timeout);
@@ -408,8 +408,8 @@ TEST(CompileService, JobControlUnwindsTheCompilePipeline)
     cancelled.checkEveryGates = 1;
     DeltaCompileIO delta2;
     try {
-        (void)backend->compileControlled(makeBenchmark("ghz", 24), {},
-                                         nullptr, delta2, &cancelled);
+        (void)backend->compile(makeBenchmark("ghz", 24),
+                               {.delta = &delta2, .control = &cancelled});
         FAIL() << "expected Cancelled";
     } catch (const MusstiError &err) {
         EXPECT_EQ(err.category(), ErrorCategory::Cancelled);
@@ -417,8 +417,8 @@ TEST(CompileService, JobControlUnwindsTheCompilePipeline)
 
     // A null control compiles exactly like the plain path.
     DeltaCompileIO delta3;
-    const CompileResult controlled = backend->compileControlled(
-        makeBenchmark("ghz", 24), {}, nullptr, delta3, nullptr);
+    const CompileResult controlled = backend->compile(
+        makeBenchmark("ghz", 24), {.delta = &delta3, .control = nullptr});
     expectIdentical(controlled, backend->compile(makeBenchmark("ghz", 24)));
 }
 

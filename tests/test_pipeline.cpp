@@ -10,11 +10,13 @@
 
 #include <type_traits>
 
+#include "baselines/backend_factory.h"
 #include "baselines/murali.h"
 #include "core/compiler.h"
 #include "core/mapper.h"
 #include "core/pipeline.h"
 #include "core/scheduler.h"
+#include "core/scheduler_workspace.h"
 #include "sim/evaluation_pass.h"
 #include "sim/evaluator.h"
 #include "workloads/workloads.h"
@@ -221,20 +223,42 @@ TEST(Pipeline, CompileSeededOverridesConfiguredSeed)
 
 TEST(Pipeline, BackendsShareOneInterface)
 {
-    // Every stock compiler is reachable through ICompilerBackend alone.
+    // Every stock compiler is reachable through ICompilerBackend alone,
+    // and its one entry point gives the same result however it is
+    // called: every option filled (explicit configured seed, warm
+    // donated arena, delta exchange, null control) equals plain
+    // compile(c).
     const GridConfig grid{2, 2, 16};
-    const PhysicalParams params;
+    MusstiConfig config;
+    config.deltaCompile = true; // So the delta exchange captures.
     std::vector<std::shared_ptr<const ICompilerBackend>> backends;
-    backends.push_back(std::make_shared<const MusstiCompiler>());
-    backends.push_back(
-        std::make_shared<const MuraliCompiler>(grid, params));
-    const Circuit qc = makeGhz(24);
+    backends.push_back(makeMusstiBackend(config));
+    for (const std::string &which : gridBackendNames())
+        backends.push_back(makeGridBackend(which, grid));
+    ASSERT_EQ(backends.size(), 4u);
+
+    const Circuit qc = makeIsing(32, 40);
     for (const auto &backend : backends) {
         const CompileResult result = backend->compile(qc);
         EXPECT_FALSE(backend->name().empty());
         EXPECT_NE(backend->configDigest(), 0u);
         EXPECT_GT(result.schedule.ops.size(), 0u);
         EXPECT_LT(result.metrics.lnFidelity, 0.0);
+
+        const auto workspace = std::make_shared<SchedulerWorkspace>();
+        (void)backend->compile(makeGhz(16), {.workspace = workspace});
+        DeltaCompileIO delta;
+        delta.resumed = true; // Stale output compile() must reset.
+        const CompileResult every = backend->compile(
+            qc, {.seed = config.seed,
+                 .workspace = workspace,
+                 .delta = &delta,
+                 .control = nullptr});
+        EXPECT_EQ(resultFingerprint(every), resultFingerprint(result))
+            << backend->name();
+        EXPECT_FALSE(delta.resumed) << backend->name();
+        EXPECT_EQ(delta.captured.empty(), backend->name() != "mussti")
+            << backend->name();
     }
 }
 
