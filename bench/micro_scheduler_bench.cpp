@@ -470,7 +470,7 @@ measureDelta(const DeltaTier &tier, bool append, int repeats, int soak,
 constexpr const char *kCacheSuite = "micro_scheduler/cache";
 
 /**
- * Measure and verify the result-cache tier stack. A throwaway service
+ * Measure and verify the two result-cache tiers. A throwaway service
  * compiles an Ising workload into a scratch disk-tier directory; a
  * FRESH service on the same directory must then serve the identical
  * request from the persistent tier — bit-identical fingerprint, zero

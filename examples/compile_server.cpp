@@ -7,7 +7,7 @@
  * Options:
  *   --port N        TCP port on 127.0.0.1 (default 7717; 0 = ephemeral,
  *                   printed on stdout for scripts to scrape)
- *   --threads N     service worker threads (default: auto)
+ *   --threads N     service worker threads (default: auto; at most 512)
  *   --cache N       in-memory result-cache capacity (default 128)
  *   --disk-cache D  directory of the persistent result tier (default:
  *                   off); a restarted daemon pointed at the same

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/fault_injection.h"
-#include "common/hash.h"
 #include "common/logging.h"
 #include "core/scheduler_workspace.h"
 
@@ -21,6 +20,16 @@ cancelledOutcome(const std::string &message)
     outcome.error = MusstiError(ErrorCategory::Cancelled, "job.cancelled",
                                 message);
     return outcome;
+}
+
+/**
+ * The snapshot probe-index key of a job or a snapshot: its config and
+ * seed coordinates, with the circuit or prefix hash zeroed.
+ */
+ResultCacheKey
+probeKeyOf(const ResultCacheKey &key)
+{
+    return {0, key.configDigest, key.seed, key.hasSeed};
 }
 
 } // namespace
@@ -49,38 +58,18 @@ CompileOutcome::errorInfo() const
     return *error;
 }
 
-std::size_t
-CompileService::SnapshotKeyHash::operator()(const SnapshotKey &key) const
-{
-    Fnv1a hash;
-    hash.update(key.prefixHash);
-    hash.update(key.configDigest);
-    hash.update(key.seed);
-    hash.update(key.hasSeed);
-    return static_cast<std::size_t>(hash.digest());
-}
-
-std::size_t
-CompileService::ProbeKeyHash::operator()(const ProbeKey &key) const
-{
-    Fnv1a hash;
-    hash.update(key.configDigest);
-    hash.update(key.seed);
-    hash.update(key.hasSeed);
-    return static_cast<std::size_t>(hash.digest());
-}
-
 CompileService::CompileService(const CompileServiceConfig &config)
-    : config_(config)
+    : config_(config), results_(config.cacheCapacity),
+      snapshots_(config.snapshotCacheCapacity)
 {
+    MUSSTI_REQUIRE(config.numThreads <= kMaxThreads,
+                   "worker thread count " << config.numThreads
+                   << " exceeds the upper bound " << kMaxThreads);
     config_.admission.quantum =
         std::max<std::uint64_t>(1, config.admission.quantum);
-    if (config.cacheCapacity > 0)
-        resultTiers_.push_back(
-            std::make_unique<MemoryResultCache>(config.cacheCapacity));
     if (!config.diskCachePath.empty())
-        resultTiers_.push_back(std::make_unique<DiskResultCache>(
-            config.diskCachePath, config.diskCacheCapacity));
+        disk_ = std::make_unique<DiskResultCache>(
+            config.diskCachePath, config.diskCacheCapacity);
 
     int threads = config.numThreads;
     if (threads <= 0) {
@@ -423,7 +412,9 @@ CompileService::runJob(CompileRequest &request)
             key.hasSeed = request.seed.has_value();
             key.seed = request.seed.value_or(0);
 
-            if (!resultTiers_.empty()) {
+            const bool result_cache =
+                config_.cacheCapacity > 0 || disk_ != nullptr;
+            if (result_cache) {
                 if (auto cached = cacheLookup(key)) {
                     cacheHits_.fetch_add(1);
                     outcome.result = std::move(*cached);
@@ -451,9 +442,12 @@ CompileService::runJob(CompileRequest &request)
 
             // A failed job never reaches this store — the result tiers
             // only ever hold compiles that completed.
-            if (!resultTiers_.empty() &&
-                !FaultInjector::fires(FaultSite::CacheStore))
-                cacheStore(key, result);
+            if (result_cache &&
+                !FaultInjector::fires(FaultSite::CacheStore)) {
+                memoryStore(key, result);
+                if (disk_ != nullptr)
+                    disk_->store(key, result);
+            }
             outcome.result = std::move(result);
             outcome.error.reset();
             return outcome;
@@ -549,7 +543,6 @@ CompileService::noteDeltaFallback()
     {
         std::lock_guard<std::mutex> lock(cacheMutex_);
         snapshots_.clear();
-        snapshotLru_.clear();
         prefixIndex_.clear();
         snapshotBytes_ = 0;
     }
@@ -584,24 +577,36 @@ CompileService::deliver(Job job, CompileOutcome outcome)
 std::optional<CompileResult>
 CompileService::cacheLookup(const CacheKey &key)
 {
-    for (std::size_t i = 0; i < resultTiers_.size(); ++i) {
-        if (auto hit = resultTiers_[i]->lookup(key)) {
-            // Promote into the faster tiers the walk passed, so e.g. a
-            // disk hit after a restart is memory-speed from now on.
-            for (std::size_t j = 0; j < i; ++j)
-                resultTiers_[j]->store(key, *hit);
-            return hit;
+    if (config_.cacheCapacity > 0) {
+        std::lock_guard<std::mutex> lock(resultMutex_);
+        if (const CompileResult *hit = results_.find(key)) {
+            ++memoryStats_.hits;
+            return *hit;
         }
+        ++memoryStats_.misses;
     }
-    return std::nullopt;
+    if (disk_ == nullptr)
+        return std::nullopt;
+    std::optional<CompileResult> hit = disk_->lookup(key);
+    // Promote, so e.g. a disk hit after a restart is memory-speed from
+    // now on.
+    if (hit.has_value())
+        memoryStore(key, *hit);
+    return hit;
 }
 
 void
-CompileService::cacheStore(const CacheKey &key,
-                           const CompileResult &result)
+CompileService::memoryStore(const CacheKey &key,
+                            const CompileResult &result)
 {
-    for (auto &tier : resultTiers_)
-        tier->store(key, result);
+    if (config_.cacheCapacity == 0)
+        return;
+    CompileResult copy = result; // Copied before taking the lock.
+    std::lock_guard<std::mutex> lock(resultMutex_);
+    results_.insert(key, std::move(copy),
+                    [this](const CacheKey &, const CompileResult &) {
+                        ++memoryStats_.evictions;
+                    });
 }
 
 std::vector<std::shared_ptr<const ScheduleSnapshot>>
@@ -610,8 +615,7 @@ CompileService::probeSnapshots(const CacheKey &key, const Circuit &circuit)
     std::vector<std::shared_ptr<const ScheduleSnapshot>> found;
     std::lock_guard<std::mutex> lock(cacheMutex_);
 
-    const ProbeKey probe{key.configDigest, key.seed, key.hasSeed};
-    const auto index_it = prefixIndex_.find(probe);
+    const auto index_it = prefixIndex_.find(probeKeyOf(key));
     if (index_it != prefixIndex_.end()) {
         // Walk the cached prefix lengths longest-first — the longer
         // the verified prefix, the less suffix the scheduler replays —
@@ -623,14 +627,11 @@ CompileService::probeSnapshots(const CacheKey &key, const Circuit &circuit)
             const std::size_t prefix_gates = it->first;
             if (prefix_gates == 0 || prefix_gates > circuit.size())
                 continue;
-            SnapshotKey skey{circuit.prefixHash(prefix_gates),
-                             key.configDigest, key.seed, key.hasSeed};
-            const auto snap_it = snapshots_.find(skey);
-            if (snap_it == snapshots_.end())
-                continue;
-            snapshotLru_.splice(snapshotLru_.begin(), snapshotLru_,
-                                snap_it->second.lruIt);
-            found.push_back(snap_it->second.snapshot);
+            const auto *snap = snapshots_.find(
+                {circuit.prefixHash(prefix_gates), key.configDigest,
+                 key.seed, key.hasSeed});
+            if (snap != nullptr)
+                found.push_back(*snap);
         }
     }
 
@@ -650,61 +651,41 @@ CompileService::storeSnapshots(const CacheKey &key,
 {
     if (captured.empty())
         return;
+    // Eviction drops the victim's share of the probe index and of the
+    // footprint.
+    const auto unwind = [this](const CacheKey &victim,
+                               const std::shared_ptr<const ScheduleSnapshot>
+                                   &snap) {
+        const std::size_t bytes = snap->approxBytes();
+        snapshotBytes_ -= std::min(bytes, snapshotBytes_);
+        const auto index_it = prefixIndex_.find(probeKeyOf(victim));
+        if (index_it != prefixIndex_.end()) {
+            auto &lengths = index_it->second;
+            const auto len_it = lengths.find(snap->inputPrefixGates);
+            if (len_it != lengths.end() && --len_it->second <= 0)
+                lengths.erase(len_it);
+            if (lengths.empty())
+                prefixIndex_.erase(index_it);
+        }
+        snapshotEvictions_.fetch_add(1);
+    };
+
     std::lock_guard<std::mutex> lock(cacheMutex_);
     for (ScheduleSnapshot &snap : captured) {
         if (snap.inputPrefixGates == 0)
             continue;
-        SnapshotKey skey{snap.prefixHash, key.configDigest, key.seed,
-                         key.hasSeed};
-        const auto it = snapshots_.find(skey);
-        if (it != snapshots_.end()) {
-            // Deterministic compiles recapture identical checkpoints;
-            // keep the incumbent, just refresh its recency.
-            snapshotLru_.splice(snapshotLru_.begin(), snapshotLru_,
-                                it->second.lruIt);
+        const CacheKey skey{snap.prefixHash, key.configDigest, key.seed,
+                            key.hasSeed};
+        // Deterministic compiles recapture identical checkpoints; keep
+        // the incumbent (find just refreshed its recency).
+        if (snapshots_.find(skey) != nullptr)
             continue;
-        }
-
         snapshotBytes_ += snap.approxBytes();
-        prefixIndex_[{key.configDigest, key.seed, key.hasSeed}]
-                    [snap.inputPrefixGates] += 1;
-        snapshotLru_.push_front(skey);
-        snapshots_.emplace(
-            skey,
-            SnapshotEntry{std::make_shared<const ScheduleSnapshot>(
-                              std::move(snap)),
-                          snapshotLru_.begin()});
-
-        while (snapshots_.size() > config_.snapshotCacheCapacity &&
-               !snapshotLru_.empty()) {
-            evictSnapshotLocked(snapshotLru_.back());
-            snapshotEvictions_.fetch_add(1);
-        }
+        prefixIndex_[probeKeyOf(key)][snap.inputPrefixGates] += 1;
+        snapshots_.insert(
+            skey, std::make_shared<const ScheduleSnapshot>(std::move(snap)),
+            unwind);
     }
-}
-
-void
-CompileService::evictSnapshotLocked(const SnapshotKey &key)
-{
-    const auto it = snapshots_.find(key);
-    if (it == snapshots_.end())
-        return;
-    const ScheduleSnapshot &snap = *it->second.snapshot;
-    const std::size_t bytes = snap.approxBytes();
-    snapshotBytes_ -= bytes > snapshotBytes_ ? snapshotBytes_ : bytes;
-
-    const ProbeKey probe{key.configDigest, key.seed, key.hasSeed};
-    const auto index_it = prefixIndex_.find(probe);
-    if (index_it != prefixIndex_.end()) {
-        const auto len_it = index_it->second.find(snap.inputPrefixGates);
-        if (len_it != index_it->second.end() && --len_it->second <= 0)
-            index_it->second.erase(len_it);
-        if (index_it->second.empty())
-            prefixIndex_.erase(index_it);
-    }
-
-    snapshotLru_.erase(it->second.lruIt);
-    snapshots_.erase(it);
 }
 
 CompileService::CacheStats
@@ -713,12 +694,12 @@ CompileService::cacheStats() const
     CacheStats stats;
     stats.resultHits = cacheHits_.load();
     stats.resultMisses = jobsExecuted_.load();
-    for (const auto &tier : resultTiers_) {
-        if (std::string(tier->name()) == "memory")
-            stats.memoryTier = tier->stats();
-        else if (std::string(tier->name()) == "disk")
-            stats.diskTier = tier->stats();
+    {
+        std::lock_guard<std::mutex> lock(resultMutex_);
+        stats.memoryTier = memoryStats_;
     }
+    if (disk_ != nullptr)
+        stats.diskTier = disk_->stats();
     stats.resultEvictions = stats.memoryTier.evictions;
     stats.snapshotHits = snapshotHits_.load();
     stats.snapshotMisses = snapshotMisses_.load();

@@ -6,11 +6,13 @@
  * per-job RNG seed) and run on a fixed worker pool. Every job compiles
  * in a private CompileContext, so results are bit-identical to serial
  * execution regardless of thread count or completion order. Results are
- * memoised in a bounded LRU cache keyed by (circuit content hash,
- * backend config digest, seed), which collapses the repeated
- * compilations the bench sweeps perform.
+ * memoised keyed by (circuit content hash, backend config digest, seed)
+ * in an in-memory BoundedLru (common/bounded_lru.h), backed by an
+ * optional persistent DiskResultCache whose hits are promoted into
+ * memory; this collapses the repeated compilations the bench sweeps
+ * perform.
  *
- * A second LRU tier caches delta-compile checkpoints
+ * A second BoundedLru caches delta-compile checkpoints
  * (core/schedule_snapshot.h) keyed by (input PREFIX hash, config
  * digest, seed): when a submitted circuit shares a prefix with an
  * earlier compile, the matching snapshots ride into the backend's
@@ -45,7 +47,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -55,6 +56,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/bounded_lru.h"
 #include "common/error.h"
 #include "core/backend.h"
 #include "core/result_cache.h"
@@ -106,15 +108,17 @@ struct AdmissionStats
 /** Pool, cache, queue-fairness, and retry/quarantine policy sizing. */
 struct CompileServiceConfig
 {
-    /** Worker threads; <= 0 selects the hardware concurrency. */
+    /**
+     * Worker threads; <= 0 selects the hardware concurrency. Above
+     * CompileService::kMaxThreads the constructor raises input.require.
+     */
     int numThreads = 0;
 
     /**
      * Results kept in the in-memory LRU tier; 0 disables that tier.
-     * The result cache is a tier stack (core/result_cache.h): memory
-     * first, then — when diskCachePath is set — the persistent disk
-     * tier. A hit anywhere serves the job and promotes the entry into
-     * the tiers in front of it.
+     * A lookup tries memory first, then — when diskCachePath is set —
+     * the persistent disk tier (core/result_cache.h); a disk hit serves
+     * the job and is promoted into memory.
      */
     std::size_t cacheCapacity = 128;
 
@@ -350,7 +354,10 @@ class CompileService
     static std::uint64_t deriveJobSeed(std::uint64_t base_seed,
                                        std::size_t job_index);
 
-    /** Upper bound accepted for an explicit worker-thread count. */
+    /**
+     * Upper bound accepted for an explicit worker-thread count; the
+     * constructor rejects a larger CompileServiceConfig::numThreads.
+     */
     static constexpr int kMaxThreads = 512;
 
     int numThreads() const { return static_cast<int>(workers_.size()); }
@@ -390,7 +397,7 @@ class CompileService
 
         /**
          * Per-tier result-cache counters (core/result_cache.h). The
-         * aggregate resultHits above counts jobs served by ANY tier;
+         * aggregate resultHits above counts jobs served by either tier;
          * these break it down: memoryTier for the in-memory LRU,
          * diskTier for the persistent tier (all-zero when the tier is
          * not configured). diskTier.corrupt counts entries that failed
@@ -424,50 +431,14 @@ class CompileService
         std::size_t running = 0;    ///< Picked up, not yet finished.
     };
 
-    /** Result-tier coordinates (shared with core/result_cache.h). */
-    using CacheKey = ResultCacheKey;
-
     /**
-     * Snapshot-tier key: the content hash of the input PREFIX the
-     * snapshot covers (not the whole circuit — that is the point),
-     * plus the same config/seed coordinates as the result tier so a
-     * snapshot can never resume a job it was not produced under.
+     * Coordinates of both cache tiers. A result is keyed by its whole
+     * circuit's content hash; a snapshot by the hash of the input
+     * PREFIX it covers (that is the point), with the same config/seed
+     * coordinates so it can never resume a job it was not produced
+     * under.
      */
-    struct SnapshotKey
-    {
-        std::uint64_t prefixHash = 0;
-        std::uint64_t configDigest = 0;
-        std::uint64_t seed = 0;
-        bool hasSeed = false;
-
-        bool operator==(const SnapshotKey &other) const = default;
-    };
-
-    struct SnapshotKeyHash
-    {
-        std::size_t operator()(const SnapshotKey &key) const;
-    };
-
-    /** (configDigest, seed) coordinates of the probe index. */
-    struct ProbeKey
-    {
-        std::uint64_t configDigest = 0;
-        std::uint64_t seed = 0;
-        bool hasSeed = false;
-
-        bool operator==(const ProbeKey &other) const = default;
-    };
-
-    struct ProbeKeyHash
-    {
-        std::size_t operator()(const ProbeKey &key) const;
-    };
-
-    struct SnapshotEntry
-    {
-        std::shared_ptr<const ScheduleSnapshot> snapshot;
-        std::list<SnapshotKey>::iterator lruIt;
-    };
+    using CacheKey = ResultCacheKey;
 
     void workerLoop();
 
@@ -512,13 +483,13 @@ class CompileService
     void noteDeltaFallback();
 
     /**
-     * Walk the tier stack front to back; a hit is promoted into every
-     * tier in front of the one that served it. nullopt = global miss.
+     * Try the memory tier, then the disk tier; a disk hit is promoted
+     * into memory. nullopt = miss in both.
      */
     std::optional<CompileResult> cacheLookup(const CacheKey &key);
 
-    /** Store a finished result into every tier. */
-    void cacheStore(const CacheKey &key, const CompileResult &result);
+    /** Store a finished result into the memory tier (if enabled). */
+    void memoryStore(const CacheKey &key, const CompileResult &result);
 
     /**
      * Find cached snapshots whose input prefix the circuit shares
@@ -532,9 +503,6 @@ class CompileService
     /** Insert captured checkpoints, evicting LRU past the bound. */
     void storeSnapshots(const CacheKey &key,
                         std::vector<ScheduleSnapshot> captured);
-
-    /** Drop one snapshot entry and unwind its index bookkeeping. */
-    void evictSnapshotLocked(const SnapshotKey &key);
 
     /** Longest resume-candidate list offered to one compile. */
     static constexpr std::size_t kMaxResumeCandidates = 8;
@@ -557,32 +525,36 @@ class CompileService
     bool stopping_ = false;
     AdmissionStats counters_; ///< Monotonic fields only.
 
-    mutable std::mutex cacheMutex_; ///< Snapshot tier; also cacheStats().
-
+    // ---- result tiers ------------------------------------------------
     /**
-     * Result-cache tier stack, fastest first (memory, then disk when
-     * configured). Fixed after construction; tiers self-synchronise,
-     * so lookups/stores run without cacheMutex_.
+     * Guards the memory tier and its counters. Separate from
+     * cacheMutex_: a snapshot probe hashes circuit prefixes under that
+     * lock, and a memory hit must not wait behind it.
      */
-    std::vector<std::unique_ptr<ResultCacheTier>> resultTiers_;
+    mutable std::mutex resultMutex_;
+    BoundedLru<CacheKey, CompileResult, ResultCacheKeyHash> results_;
+    ResultTierStats memoryStats_;
+    std::unique_ptr<DiskResultCache> disk_; ///< Null when not configured.
 
     // ---- snapshot tier (all guarded by cacheMutex_) ------------------
-    std::unordered_map<SnapshotKey, SnapshotEntry, SnapshotKeyHash>
+    mutable std::mutex cacheMutex_;
+    BoundedLru<CacheKey, std::shared_ptr<const ScheduleSnapshot>,
+               ResultCacheKeyHash>
         snapshots_;
-    std::list<SnapshotKey> snapshotLru_; ///< Front = most recently used.
 
     /**
-     * Probe index: per (configDigest, seed), the cached prefix lengths
-     * with a refcount (several snapshots of different circuits may
-     * share a length). Lets a probe enumerate candidate lengths and
-     * hash only those prefixes of the incoming circuit.
+     * Probe index: per {0, configDigest, seed, hasSeed}, the cached
+     * prefix lengths with a refcount (several snapshots of different
+     * circuits may share a length). Lets a probe enumerate candidate
+     * lengths and hash only those prefixes of the incoming circuit.
      */
-    std::unordered_map<ProbeKey, std::map<std::size_t, int>, ProbeKeyHash>
+    std::unordered_map<CacheKey, std::map<std::size_t, int>,
+                       ResultCacheKeyHash>
         prefixIndex_;
     std::size_t snapshotBytes_ = 0;
 
     std::atomic<std::uint64_t> jobsExecuted_{0};
-    std::atomic<std::uint64_t> cacheHits_{0}; ///< Hits across all tiers.
+    std::atomic<std::uint64_t> cacheHits_{0}; ///< Hits in either tier.
     std::atomic<std::uint64_t> snapshotHits_{0};
     std::atomic<std::uint64_t> snapshotMisses_{0};
     std::atomic<std::uint64_t> snapshotEvictions_{0};

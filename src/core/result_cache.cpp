@@ -372,52 +372,6 @@ deserializeCompileResult(const std::string &bytes)
     return result;
 }
 
-// ---- memory tier ------------------------------------------------------
-
-MemoryResultCache::MemoryResultCache(std::size_t capacity)
-    : capacity_(capacity)
-{}
-
-std::optional<CompileResult>
-MemoryResultCache::lookup(const ResultCacheKey &key)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) {
-        ++stats_.misses;
-        return std::nullopt;
-    }
-    // Refresh recency.
-    lru_.splice(lru_.begin(), lru_, it->second.second);
-    ++stats_.hits;
-    return it->second.first;
-}
-
-void
-MemoryResultCache::store(const ResultCacheKey &key,
-                         const CompileResult &result)
-{
-    if (capacity_ == 0)
-        return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (entries_.find(key) != entries_.end())
-        return; // A concurrent identical job already stored it.
-    while (entries_.size() >= capacity_ && !lru_.empty()) {
-        entries_.erase(lru_.back());
-        lru_.pop_back();
-        ++stats_.evictions;
-    }
-    lru_.push_front(key);
-    entries_.emplace(key, std::make_pair(result, lru_.begin()));
-}
-
-ResultTierStats
-MemoryResultCache::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
-}
-
 // ---- disk tier --------------------------------------------------------
 
 const char DiskResultCache::kMagic[9] = "MSTCACHE";

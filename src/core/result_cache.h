@@ -1,24 +1,21 @@
 /**
  * @file
- * Pluggable result-cache tiers for the compile service.
+ * Result-cache keys and the persistent disk tier of the compile service.
  *
- * The service memoises finished CompileResults keyed by (circuit
- * content hash, backend config digest, seed). This header makes the
- * store pluggable: tiers implement ResultCacheTier and the service
- * stacks them fastest-first — today an in-memory LRU tier
- * (MemoryResultCache) in front of an optional disk-backed persistent
- * tier (DiskResultCache). A lookup walks the stack front to back and
- * promotes hits into the tiers it passed, so a result that survived a
- * process restart on disk is one miss away from memory speed.
+ * The service memoises finished CompileResults keyed by ResultCacheKey
+ * (circuit content hash, backend config digest, seed) in two tiers: an
+ * in-memory BoundedLru (common/bounded_lru.h) in front of an optional
+ * DiskResultCache. A lookup tries memory, then disk, and promotes a
+ * disk hit into memory, so a result that survived a process restart on
+ * disk is one miss away from memory speed.
  *
- * Tier contract:
- *  - lookup()/store() are thread-safe and never throw: a tier that
- *    cannot serve (I/O error, corrupt entry, capacity zero) degrades to
- *    a miss or a dropped store, never to a wrong result and never to an
- *    exception on the compile path.
+ * Disk-tier contract:
+ *  - lookup()/store() are thread-safe and never throw: an I/O error or
+ *    a corrupt entry degrades to a miss or a dropped store, never to a
+ *    wrong result and never to an exception on the compile path.
  *  - A stored result must deserialize bit-identical to what went in;
- *    the disk tier enforces this with a version-stamped, checksummed
- *    entry format and quarantines anything that fails validation.
+ *    the version-stamped, checksummed entry format enforces this and
+ *    quarantines anything that fails validation.
  *  - Only completed compiles are stored (the service guarantees this),
  *    so a cache hit is always a result some compile actually produced.
  */
@@ -26,12 +23,9 @@
 #define MUSSTI_CORE_RESULT_CACHE_H
 
 #include <cstdint>
-#include <list>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <utility>
 
 #include "core/pipeline.h"
 
@@ -70,51 +64,6 @@ struct ResultTierStats
                                  ///< as misses and quarantined).
 };
 
-/** One level of the result-cache stack. */
-class ResultCacheTier
-{
-  public:
-    virtual ~ResultCacheTier() = default;
-
-    /** Stable identifier for stats and diagnostics ("memory"/"disk"). */
-    virtual const char *name() const = 0;
-
-    /** The result stored under `key`, or nullopt. Never throws. */
-    virtual std::optional<CompileResult>
-    lookup(const ResultCacheKey &key) = 0;
-
-    /** Store (best-effort; duplicate keys keep the incumbent). */
-    virtual void store(const ResultCacheKey &key,
-                       const CompileResult &result) = 0;
-
-    virtual ResultTierStats stats() const = 0;
-};
-
-/** The in-memory bounded LRU tier (the service's original cache). */
-class MemoryResultCache : public ResultCacheTier
-{
-  public:
-    explicit MemoryResultCache(std::size_t capacity);
-
-    const char *name() const override { return "memory"; }
-    std::optional<CompileResult>
-    lookup(const ResultCacheKey &key) override;
-    void store(const ResultCacheKey &key,
-               const CompileResult &result) override;
-    ResultTierStats stats() const override;
-
-  private:
-    const std::size_t capacity_;
-    mutable std::mutex mutex_;
-    std::unordered_map<ResultCacheKey,
-                       std::pair<CompileResult,
-                                 std::list<ResultCacheKey>::iterator>,
-                       ResultCacheKeyHash>
-        entries_;
-    std::list<ResultCacheKey> lru_; ///< Front = most recently used.
-    ResultTierStats stats_;
-};
-
 /**
  * The disk-backed persistent tier: one file per entry under a cache
  * directory, named by the key digest. Writes are atomic
@@ -127,7 +76,7 @@ class MemoryResultCache : public ResultCacheTier
  * the hot path silent and the wrong-result probability at the checksum
  * collision floor.
  */
-class DiskResultCache : public ResultCacheTier
+class DiskResultCache
 {
   public:
     /**
@@ -136,12 +85,13 @@ class DiskResultCache : public ResultCacheTier
      */
     DiskResultCache(std::string directory, std::size_t capacity);
 
-    const char *name() const override { return "disk"; }
-    std::optional<CompileResult>
-    lookup(const ResultCacheKey &key) override;
-    void store(const ResultCacheKey &key,
-               const CompileResult &result) override;
-    ResultTierStats stats() const override;
+    /** The result stored under `key`, or nullopt. Never throws. */
+    std::optional<CompileResult> lookup(const ResultCacheKey &key);
+
+    /** Store (best-effort; duplicate keys keep the incumbent). */
+    void store(const ResultCacheKey &key, const CompileResult &result);
+
+    ResultTierStats stats() const;
 
     /** Entry path for `key` (exposed for the corruption tests). */
     std::string entryPathFor(const ResultCacheKey &key) const;

@@ -6,7 +6,9 @@
  *          |
  *     CompileService         — one DRR queue over clients, running-job
  *          |                   budget, worker pool, retry, deadlines
- *     ResultCacheTier stack  — memory LRU, then persistent disk tier
+ *     result cache           — memory BoundedLru, then persistent
+ *                              DiskResultCache; disk hits promote
+ *                              into memory
  *
  * One session per accepted connection; each session has a reader
  * thread that decodes request frames and submits them straight to the
@@ -56,7 +58,10 @@ struct CompileServerConfig
         (read it back with port()). */
     int port = 0;
 
-    /** Worker threads of the underlying service; <= 0 auto-sizes. */
+    /**
+     * Worker threads of the underlying service; <= 0 auto-sizes, and
+     * more than CompileService::kMaxThreads is rejected.
+     */
     int numThreads = 0;
 
     /** In-memory result-tier capacity (CompileServiceConfig). */

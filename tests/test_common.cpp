@@ -1,13 +1,19 @@
 /**
  * @file
  * Unit tests for the common library: RNG determinism, log-domain
- * fidelity, string helpers, CSV/table output, and summary statistics.
+ * fidelity, string helpers, CSV/table output, summary statistics, and
+ * the bounded LRU.
  */
 #include <cmath>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bounded_lru.h"
 #include "common/csv.h"
 #include "common/error.h"
 #include "common/log_fidelity.h"
@@ -462,6 +468,94 @@ TEST(ErrorTaxonomy, CategoryNamesAreStable)
     EXPECT_STREQ(errorCategoryName(ErrorCategory::Transient),
                  "Transient");
     EXPECT_STREQ(errorCategoryName(ErrorCategory::Internal), "Internal");
+}
+
+/** Records every eviction, in order. */
+struct EvictionLog
+{
+    std::vector<std::pair<int, std::string>> victims;
+
+    void
+    operator()(const int &key, const std::string &value)
+    {
+        victims.emplace_back(key, value);
+    }
+};
+
+TEST(BoundedLru, FindRefreshesRecency)
+{
+    BoundedLru<int, std::string> lru(2);
+    EvictionLog log;
+    lru.insert(1, "a", std::ref(log));
+    lru.insert(2, "b", std::ref(log));
+    ASSERT_NE(lru.find(1), nullptr); // 1 is now the most recent
+    lru.insert(3, "c", std::ref(log));
+
+    ASSERT_EQ(log.victims.size(), 1u);
+    EXPECT_EQ(log.victims[0].first, 2);
+    EXPECT_EQ(lru.find(2), nullptr);
+    ASSERT_NE(lru.find(1), nullptr);
+    EXPECT_EQ(*lru.find(1), "a");
+    EXPECT_EQ(lru.size(), 2u);
+}
+
+TEST(BoundedLru, DuplicateInsertKeepsTheIncumbent)
+{
+    BoundedLru<int, std::string> lru(2);
+    EvictionLog log;
+    lru.insert(1, "first", std::ref(log));
+    lru.insert(2, "b", std::ref(log));
+    lru.insert(1, "second", std::ref(log)); // refreshes 1, keeps "first"
+    EXPECT_EQ(lru.size(), 2u);
+    EXPECT_TRUE(log.victims.empty());
+    EXPECT_EQ(*lru.find(1), "first");
+
+    lru.insert(3, "c", std::ref(log)); // 2 is the oldest now
+    ASSERT_EQ(log.victims.size(), 1u);
+    EXPECT_EQ(log.victims[0].first, 2);
+}
+
+TEST(BoundedLru, OnEvictSeesVictimsOldestFirst)
+{
+    BoundedLru<int, std::string> lru(3);
+    EvictionLog log;
+    for (int key = 0; key < 6; ++key)
+        lru.insert(key, std::to_string(key), std::ref(log));
+
+    const std::vector<std::pair<int, std::string>> want = {
+        {0, "0"}, {1, "1"}, {2, "2"}};
+    EXPECT_EQ(log.victims, want);
+    EXPECT_EQ(lru.size(), 3u);
+    for (int key = 3; key < 6; ++key)
+        EXPECT_NE(lru.find(key), nullptr) << key;
+}
+
+TEST(BoundedLru, ZeroCapacityStoresNothing)
+{
+    BoundedLru<int, std::string> lru(0);
+    EvictionLog log;
+    lru.insert(1, "a", std::ref(log));
+    EXPECT_EQ(lru.size(), 0u);
+    EXPECT_EQ(lru.find(1), nullptr);
+    EXPECT_TRUE(log.victims.empty());
+}
+
+TEST(BoundedLru, ClearEmptiesIt)
+{
+    BoundedLru<int, std::string> lru(4);
+    EvictionLog log;
+    lru.insert(1, "a", std::ref(log));
+    lru.insert(2, "b", std::ref(log));
+    lru.clear();
+    EXPECT_EQ(lru.size(), 0u);
+    EXPECT_EQ(lru.find(1), nullptr);
+    EXPECT_EQ(lru.find(2), nullptr);
+
+    // Still usable, with the full capacity, after a clear.
+    for (int key = 0; key < 4; ++key)
+        lru.insert(key, "x", std::ref(log));
+    EXPECT_EQ(lru.size(), 4u);
+    EXPECT_TRUE(log.victims.empty());
 }
 
 } // namespace

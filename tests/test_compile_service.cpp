@@ -2,13 +2,16 @@
  * @file
  * Tests for the batch CompileService: N-thread batches bit-identical to
  * serial execution, deterministic per-job seeding independent of thread
- * count, result-cache behaviour, and error propagation through futures.
+ * count, result-cache and snapshot-tier behaviour, error propagation
+ * through futures, and the worker-pool bound.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/backend_factory.h"
@@ -164,6 +167,24 @@ TEST(CompileService, DeriveJobSeedDeterministicAndDistinct)
               CompileService::deriveJobSeed(7, 4));
     EXPECT_NE(CompileService::deriveJobSeed(7, 3),
               CompileService::deriveJobSeed(8, 3));
+}
+
+TEST(CompileService, RejectsThreadCountsAboveTheBound)
+{
+    const ScopedFatalSilence quiet;
+    CompileServiceConfig config;
+    config.numThreads = CompileService::kMaxThreads + 1;
+    try {
+        CompileService service(config);
+        FAIL() << "a pool above kMaxThreads was accepted";
+    } catch (const MusstiError &err) {
+        EXPECT_EQ(err.category(), ErrorCategory::InvalidInput);
+        EXPECT_EQ(err.code(), "input.require");
+        EXPECT_NE(err.message().find(
+                      std::to_string(CompileService::kMaxThreads + 1)),
+                  std::string::npos)
+            << err.message();
+    }
 }
 
 TEST(CompileService, CacheServesRepeatedJobs)
@@ -518,6 +539,109 @@ TEST(CompileService, CacheStatsTrackBothTiers)
     EXPECT_EQ(stats.jobsRetried, 0u);
     EXPECT_EQ(stats.deltaQuarantines, 0u);
     EXPECT_FALSE(stats.deltaQuarantined);
+}
+
+/** A delta-compiling backend checkpointing every 16 gates. */
+std::shared_ptr<const ICompilerBackend>
+deltaBackend()
+{
+    MusstiConfig config;
+    config.deltaCompile = true;
+    config.deltaCheckpointGates = 16;
+    return makeMusstiBackend(config);
+}
+
+/**
+ * Compile A, then an unrelated B, then A with one more Trotter step on
+ * one worker with the result cache off, so every job probes and feeds
+ * the snapshot tier. Returns A+'s result and the final counters.
+ */
+std::pair<CompileResult, CompileService::CacheStats>
+runSnapshotEvictionSequence(std::size_t snapshot_capacity)
+{
+    CompileServiceConfig config;
+    config.numThreads = 1;
+    config.cacheCapacity = 0;
+    config.snapshotCacheCapacity = snapshot_capacity;
+    CompileService service(config);
+    const auto backend = deltaBackend();
+
+    (void)service.submit(backend, makeIsing(24, 40)).get();
+    (void)service.submit(backend, makeIsing(28, 40)).get();
+    CompileResult extended = service.submit(backend, makeIsing(24, 41)).get();
+    return {std::move(extended), service.cacheStats()};
+}
+
+TEST(CompileService, SnapshotTierEvictsLeastRecentlyUsed)
+{
+    // The byte figures are ScheduleSnapshot::approxBytes() sums, which
+    // count vector capacities: they are pinned for libstdc++ on x86-64
+    // and catch any drift in the tier's footprint bookkeeping.
+    // Four slots: B's checkpoints push every one of A's out, so A+
+    // finds no resume candidate and compiles cold.
+    const auto [small_result, small] = runSnapshotEvictionSequence(4);
+    EXPECT_FALSE(small_result.deltaResumed);
+    EXPECT_EQ(small.snapshotHits, 0u);
+    EXPECT_EQ(small.snapshotMisses, 3u);
+    EXPECT_EQ(small.snapshotCount, 4u);
+    EXPECT_EQ(small.snapshotEvictions, 30u);
+    EXPECT_EQ(small.snapshotBytes, 460568u);
+    EXPECT_EQ(small.deltaResumes, 0u);
+
+    // Sixty-four slots hold both circuits' checkpoints: A+ resumes.
+    const auto [large_result, large] = runSnapshotEvictionSequence(64);
+    EXPECT_TRUE(large_result.deltaResumed);
+    EXPECT_EQ(large.snapshotHits, 1u);
+    EXPECT_EQ(large.snapshotMisses, 2u);
+    EXPECT_EQ(large.snapshotEvictions, 0u);
+    EXPECT_EQ(large.snapshotBytes, 1985232u);
+    EXPECT_EQ(large.deltaResumes, 1u);
+
+    // Either way the schedule is the cold one.
+    EXPECT_EQ(resultFingerprint(small_result),
+              resultFingerprint(large_result));
+}
+
+TEST(CompileService, ConcurrentPrefixSharingBatchMatchesColdService)
+{
+    // Four workers probe, resume from, and evict a small snapshot tier
+    // at once, over circuits that share prefixes; every result must
+    // equal a cold single-worker compile bit for bit.
+    auto makeRequests = [] {
+        const auto backend = deltaBackend();
+        std::vector<CompileRequest> requests;
+        for (int steps = 40; steps < 44; ++steps) {
+            requests.push_back({backend, makeIsing(24, steps), {}});
+            requests.push_back({backend, makeIsing(28, steps), {}});
+        }
+        return requests;
+    };
+
+    CompileServiceConfig warm_config;
+    warm_config.numThreads = 4;
+    warm_config.cacheCapacity = 0;
+    warm_config.snapshotCacheCapacity = 8;
+    CompileServiceConfig cold_config;
+    cold_config.numThreads = 1;
+    cold_config.cacheCapacity = 0;
+    cold_config.snapshotCacheCapacity = 0;
+
+    CompileService warm(warm_config);
+    CompileService cold(cold_config);
+    const auto warm_results = warm.compileAll(makeRequests());
+    const auto cold_results = cold.compileAll(makeRequests());
+    ASSERT_EQ(warm_results.size(), cold_results.size());
+    for (std::size_t i = 0; i < cold_results.size(); ++i) {
+        EXPECT_EQ(resultFingerprint(warm_results[i]),
+                  resultFingerprint(cold_results[i]))
+            << "job " << i;
+        expectIdentical(warm_results[i], cold_results[i]);
+    }
+    const CompileService::CacheStats stats = warm.cacheStats();
+    EXPECT_EQ(stats.snapshotHits + stats.snapshotMisses,
+              cold_results.size());
+    EXPECT_GT(stats.snapshotEvictions, 0u);
+    EXPECT_LE(stats.snapshotCount, 8u);
 }
 
 } // namespace

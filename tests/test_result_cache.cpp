@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for the pluggable result-cache tiers (core/result_cache.h):
- * bit-exact serializer round-trips, the disk tier's hit/miss/eviction
- * behaviour, and — the point of the format's paranoia — that every
- * flavour of on-disk damage (truncation, garbage, version skew, racing
- * writers) degrades to a MISS with the corrupt counter ticking, never
- * to a wrong result and never to an exception on the compile path.
+ * Tests for the result-cache tiers (core/result_cache.h): bit-exact
+ * serializer round-trips, the disk tier's hit/miss/eviction behaviour,
+ * disk-to-memory promotion in the service, and — the point of the
+ * format's paranoia — that every flavour of on-disk damage (truncation,
+ * garbage, version skew, racing writers) degrades to a MISS with the
+ * corrupt counter ticking, never to a wrong result and never to an
+ * exception on the compile path.
  */
 #include <gtest/gtest.h>
 
@@ -328,6 +329,48 @@ TEST(ServiceDiskTier, CorruptEntryRecompilesAndCounterReconciles)
                         warm.submit(backend, circuit).get()));
     EXPECT_EQ(warm.cacheStats().diskTier.hits, 1u);
     EXPECT_EQ(warm.jobsExecuted(), 0u);
+
+    // The disk hit was promoted: the next repeat is a memory hit and
+    // never reaches the disk tier.
+    EXPECT_EQ(want, resultFingerprint(
+                        warm.submit(backend, circuit).get()));
+    const CompileService::CacheStats warm_stats = warm.cacheStats();
+    EXPECT_EQ(warm_stats.memoryTier.hits, 1u);
+    EXPECT_EQ(warm_stats.memoryTier.misses, 1u);
+    EXPECT_EQ(warm_stats.diskTier.hits, 1u);
+    EXPECT_EQ(warm_stats.resultHits, 2u);
+    EXPECT_EQ(warm.jobsExecuted(), 0u);
+}
+
+TEST(ServiceDiskTier, MemoryTierOffServesEveryRepeatFromDisk)
+{
+    // cacheCapacity = 0 turns the memory tier off: nothing is promoted,
+    // every repeat is a disk hit, and the memory counters stay zero.
+    const ScratchDir dir;
+    const auto backend = makeMusstiBackend();
+    const Circuit circuit = makeBenchmark("ghz", 12);
+
+    CompileServiceConfig config;
+    config.numThreads = 1;
+    config.cacheCapacity = 0;
+    config.diskCachePath = dir.str();
+    CompileService service(config);
+
+    const std::uint64_t want =
+        resultFingerprint(service.submit(backend, circuit).get());
+    for (int repeat = 0; repeat < 3; ++repeat)
+        EXPECT_EQ(want, resultFingerprint(
+                            service.submit(backend, circuit).get()));
+
+    const CompileService::CacheStats stats = service.cacheStats();
+    EXPECT_EQ(service.jobsExecuted(), 1u);
+    EXPECT_EQ(stats.resultHits, 3u);
+    EXPECT_EQ(stats.diskTier.hits, 3u);
+    EXPECT_EQ(stats.diskTier.misses, 1u);
+    EXPECT_EQ(stats.memoryTier.hits, 0u);
+    EXPECT_EQ(stats.memoryTier.misses, 0u);
+    EXPECT_EQ(stats.memoryTier.evictions, 0u);
+    EXPECT_EQ(stats.memoryTier.corrupt, 0u);
 }
 
 } // namespace
