@@ -457,7 +457,6 @@ measureDelta(const DeltaTier &tier, bool append, int repeats, int soak,
     record.jobsFailed = static_cast<long long>(stats.jobsFailed);
     record.jobsTimedOut = static_cast<long long>(stats.jobsTimedOut);
     record.jobsCancelled = static_cast<long long>(stats.jobsCancelled);
-    record.jobsRetried = static_cast<long long>(stats.jobsRetried);
     if (!warm.deltaResumed) {
         std::printf("FAIL: %s/%s did not delta-resume through the "
                     "CompileService\n", kDeltaSuite,

@@ -74,8 +74,7 @@ printResponse(const ServeResponse &response, bool json)
               << "exec time    : " << response.executionTimeUs << " us\n"
               << "log10 fid    : " << response.log10Fidelity << "\n"
               << "shuttles     : " << response.shuttles << "\n"
-              << "swap inserts : " << response.swapInsertions << "\n"
-              << "attempts     : " << response.attempts << "\n";
+              << "swap inserts : " << response.swapInsertions << "\n";
     return true;
 }
 

@@ -89,8 +89,6 @@ parseRecord(JsonReader &p)
         } else if (key == "jobs_cancelled") {
             record.jobsCancelled =
                 static_cast<long long>(p.parseNumber());
-        } else if (key == "jobs_retried") {
-            record.jobsRetried = static_cast<long long>(p.parseNumber());
         } else if (key == "cache_mem_hits") {
             record.cacheMemHits = static_cast<long long>(p.parseNumber());
         } else if (key == "cache_mem_misses") {
@@ -175,8 +173,7 @@ benchResultsToJson(const std::vector<BenchRecord> &records,
         if (r.jobsFailed >= 0) {
             out << ", \"jobs_failed\": " << r.jobsFailed
                 << ", \"jobs_timed_out\": " << r.jobsTimedOut
-                << ", \"jobs_cancelled\": " << r.jobsCancelled
-                << ", \"jobs_retried\": " << r.jobsRetried;
+                << ", \"jobs_cancelled\": " << r.jobsCancelled;
         }
         if (r.cacheMemHits >= 0) {
             out << ", \"cache_mem_hits\": " << r.cacheMemHits

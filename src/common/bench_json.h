@@ -102,15 +102,13 @@ struct BenchRecord
 
     /**
      * CompileService failure-path counters (absent = -1): jobs that
-     * resolved with a structured error, split by taxonomy, plus the
-     * Transient retry attempts consumed. Emitted by records whose
-     * scenario ran through a CompileService, proving the fault-
-     * tolerance accounting is live on the production path.
+     * resolved with a structured error, split by taxonomy. Emitted by
+     * records whose scenario ran through a CompileService, proving the
+     * fault-tolerance accounting is live on the production path.
      */
     long long jobsFailed = -1;
     long long jobsTimedOut = -1;
     long long jobsCancelled = -1;
-    long long jobsRetried = -1;
 
     /**
      * Per-tier result-cache counters (absent = -1): the in-memory LRU

@@ -23,8 +23,9 @@ namespace mussti {
  *  - Timeout:           a per-job deadline expired.
  *  - Cancelled:         a cancellation token fired, or the service shut
  *                       down while the job was still queued.
- *  - Transient:         a retryable fault (injected or environmental);
- *                       the service retries these with bounded backoff.
+ *  - Transient:         a fault expected to pass on a later attempt
+ *                       (the fault injector's default category). The
+ *                       service does not retry; a caller may resubmit.
  *  - Internal:          a bug — an invariant we own was violated.
  */
 enum class ErrorCategory {

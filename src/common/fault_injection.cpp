@@ -66,7 +66,6 @@ faultSiteName(FaultSite site)
       case FaultSite::CacheStore: return "cache-store";
       case FaultSite::WorkerDequeue: return "worker-dequeue";
       case FaultSite::TunerProbe: return "tuner-probe";
-      case FaultSite::TunerSweep: return "tuner-sweep";
     }
     return "?";
 }

@@ -43,10 +43,9 @@ enum class FaultSite {
     CacheStore,      ///< result/snapshot cache store (degrades: store skipped)
     WorkerDequeue,   ///< service worker picking up a job (throws)
     TunerProbe,      ///< tuner feasibility probe of one candidate (throws)
-    TunerSweep,      ///< tuner harvesting one sweep outcome (throws)
 };
 
-inline constexpr int kFaultSiteCount = 7;
+inline constexpr int kFaultSiteCount = 6;
 
 const char *faultSiteName(FaultSite site);
 

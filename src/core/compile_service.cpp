@@ -126,35 +126,6 @@ CompileService::shutdown()
     workers_.clear();
 }
 
-namespace {
-
-/** Give every unseeded request its deriveJobSeed(base, index). */
-std::vector<CompileRequest>
-seedSweep(std::vector<CompileRequest> requests, std::uint64_t base_seed)
-{
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (!requests[i].seed.has_value())
-            requests[i].seed = CompileService::deriveJobSeed(base_seed, i);
-    }
-    return requests;
-}
-
-} // namespace
-
-std::vector<CompileResult>
-CompileService::compileSweep(std::vector<CompileRequest> requests,
-                             std::uint64_t base_seed)
-{
-    return compileAll(seedSweep(std::move(requests), base_seed));
-}
-
-std::vector<CompileOutcome>
-CompileService::compileSweepOutcomes(std::vector<CompileRequest> requests,
-                                     std::uint64_t base_seed)
-{
-    return compileAllOutcomes(seedSweep(std::move(requests), base_seed));
-}
-
 std::uint64_t
 CompileService::deriveJobSeed(std::uint64_t base_seed,
                               std::size_t job_index)
@@ -241,16 +212,6 @@ CompileService::submitWithCallback(CompileRequest request,
     // worker teardown.
     deliver(std::move(job),
             cancelledOutcome("submit after compile service shutdown"));
-}
-
-std::vector<CompileResult>
-CompileService::compileAll(std::vector<CompileRequest> requests)
-{
-    std::vector<CompileResult> results;
-    results.reserve(requests.size());
-    for (CompileOutcome &outcome : compileAllOutcomes(std::move(requests)))
-        results.push_back(outcome.take());
-    return results;
 }
 
 std::vector<CompileOutcome>
@@ -394,73 +355,55 @@ CompileOutcome
 CompileService::runJob(CompileRequest &request)
 {
     CompileOutcome outcome;
-    const int max_attempts = std::max(1, config_.maxAttempts);
-    for (int attempt = 1;; ++attempt) {
-        outcome.attempts = attempt;
-        try {
-            JobControl control;
-            control.deadline = request.deadline;
-            control.cancel = request.cancel.get();
-            // A job whose deadline already passed (or whose token fired
-            // while queued) resolves without compiling anything.
-            control.checkpoint();
-            FaultInjector::maybeThrow(FaultSite::WorkerDequeue);
+    try {
+        JobControl control;
+        control.deadline = request.deadline;
+        control.cancel = request.cancel.get();
+        // A job whose deadline already passed (or whose token fired
+        // while queued) resolves without compiling anything.
+        control.checkpoint();
+        FaultInjector::maybeThrow(FaultSite::WorkerDequeue);
 
-            CacheKey key;
-            key.circuitHash = request.circuit.contentHash();
-            key.configDigest = request.backend->configDigest();
-            key.hasSeed = request.seed.has_value();
-            key.seed = request.seed.value_or(0);
+        CacheKey key;
+        key.circuitHash = request.circuit.contentHash();
+        key.configDigest = request.backend->configDigest();
+        key.hasSeed = request.seed.has_value();
+        key.seed = request.seed.value_or(0);
 
-            const bool result_cache =
-                config_.cacheCapacity > 0 || disk_ != nullptr;
-            if (result_cache) {
-                if (auto cached = cacheLookup(key)) {
-                    cacheHits_.fetch_add(1);
-                    outcome.result = std::move(*cached);
-                    outcome.error.reset();
-                    return outcome;
-                }
-            }
-
-            // One scheduler arena per worker thread: consecutive jobs
-            // on a worker reuse warm buffers (a pure allocation cache —
-            // results are bit-identical, pinned by test_compile_service
-            // / test_scheduler_workspace). Thread-local rather than
-            // per-service so the arena survives as long as the worker.
-            thread_local auto workspace =
-                std::make_shared<SchedulerWorkspace>();
-
-            // Retries need the circuit again, so only the last allowed
-            // attempt may consume it.
-            Circuit circuit = attempt < max_attempts
-                                  ? request.circuit
-                                  : std::move(request.circuit);
-            CompileResult result = compileOnce(request, std::move(circuit),
-                                               key, workspace, control);
-            jobsExecuted_.fetch_add(1);
-
-            // A failed job never reaches this store — the result tiers
-            // only ever hold compiles that completed.
-            if (result_cache &&
-                !FaultInjector::fires(FaultSite::CacheStore)) {
-                memoryStore(key, result);
-                if (disk_ != nullptr)
-                    disk_->store(key, result);
-            }
-            outcome.result = std::move(result);
-            outcome.error.reset();
-            return outcome;
-        } catch (...) {
-            outcome.result.reset();
-            outcome.error = describeCurrentException();
-            if (outcome.error->category() != ErrorCategory::Transient ||
-                attempt >= max_attempts)
+        const bool result_cache =
+            config_.cacheCapacity > 0 || disk_ != nullptr;
+        if (result_cache) {
+            if (auto cached = cacheLookup(key)) {
+                cacheHits_.fetch_add(1);
+                outcome.result = std::move(*cached);
                 return outcome;
-            if (!backoffBeforeRetry(request, attempt))
-                return outcome;
+            }
         }
+
+        // One scheduler arena per worker thread: consecutive jobs on a
+        // worker reuse warm buffers (a pure allocation cache — results
+        // are bit-identical, pinned by test_compile_service /
+        // test_scheduler_workspace). Thread-local rather than
+        // per-service so the arena survives as long as the worker.
+        thread_local auto workspace = std::make_shared<SchedulerWorkspace>();
+
+        Circuit circuit = std::move(request.circuit);
+        CompileResult result = compileOnce(request, std::move(circuit), key,
+                                           workspace, control);
+        jobsExecuted_.fetch_add(1);
+
+        // A failed job never reaches this store — the result tiers only
+        // ever hold compiles that completed.
+        if (result_cache && !FaultInjector::fires(FaultSite::CacheStore)) {
+            memoryStore(key, result);
+            if (disk_ != nullptr)
+                disk_->store(key, result);
+        }
+        outcome.result = std::move(result);
+    } catch (...) {
+        outcome.error = describeCurrentException();
     }
+    return outcome;
 }
 
 CompileResult
@@ -503,30 +446,6 @@ CompileService::compileOnce(
     return compiled;
 }
 
-bool
-CompileService::backoffBeforeRetry(const CompileRequest &request,
-                                   int attempt) const
-{
-    if (request.cancel != nullptr &&
-        request.cancel->load(std::memory_order_relaxed))
-        return false;
-
-    long long us = std::max<long long>(0, config_.retryBackoffBaseUs);
-    for (int i = 1; i < attempt && us < config_.retryBackoffMaxUs; ++i)
-        us *= 2;
-    us = std::min(us, std::max<long long>(0, config_.retryBackoffMaxUs));
-
-    if (request.deadline.has_value()) {
-        const auto wake = std::chrono::steady_clock::now() +
-                          std::chrono::microseconds(us);
-        if (wake >= *request.deadline)
-            return false; // The retry would start already timed out.
-    }
-    if (us > 0)
-        std::this_thread::sleep_for(std::chrono::microseconds(us));
-    return true;
-}
-
 void
 CompileService::noteDeltaFallback()
 {
@@ -554,9 +473,6 @@ CompileService::noteDeltaFallback()
 void
 CompileService::deliver(Job job, CompileOutcome outcome)
 {
-    if (outcome.attempts > 1)
-        jobsRetried_.fetch_add(
-            static_cast<std::uint64_t>(outcome.attempts - 1));
     if (!outcome.ok() && outcome.error.has_value()) {
         switch (outcome.error->category()) {
           case ErrorCategory::Timeout:
@@ -709,7 +625,6 @@ CompileService::cacheStats() const
     stats.jobsFailed = jobsFailed_.load();
     stats.jobsTimedOut = jobsTimedOut_.load();
     stats.jobsCancelled = jobsCancelled_.load();
-    stats.jobsRetried = jobsRetried_.load();
     stats.deltaQuarantines = deltaQuarantines_.load();
     stats.deltaQuarantined =
         deltaQuarantined_.load(std::memory_order_relaxed);

@@ -24,10 +24,11 @@
  * src/core/README.md): every job resolves to a CompileOutcome carrying
  * either a result or a structured MusstiError; requests may carry a
  * deadline and a cancellation token (checked cooperatively at pass
- * boundaries and inside the scheduler's routing loop); Transient
- * failures are retried with bounded deterministic backoff; and neither
- * cache tier is ever populated by a failed job. Shutdown drains queued
- * jobs with Cancelled outcomes instead of abandoning their callers.
+ * boundaries and inside the scheduler's routing loop); every failure,
+ * whatever its category, resolves the job on its first attempt; and
+ * neither cache tier is ever populated by a failed job. Shutdown drains
+ * queued jobs with Cancelled outcomes instead of abandoning their
+ * callers.
  *
  * The service has ONE queue, and it is multi-tenant: every request
  * names a client (CompileRequest::client, empty = anonymous), and a
@@ -105,7 +106,7 @@ struct AdmissionStats
     std::size_t activeClients = 0; ///< Clients with queued or running work.
 };
 
-/** Pool, cache, queue-fairness, and retry/quarantine policy sizing. */
+/** Pool, cache, queue-fairness, and quarantine policy sizing. */
 struct CompileServiceConfig
 {
     /**
@@ -150,23 +151,6 @@ struct CompileServiceConfig
      * are unaffected.
      */
     std::size_t snapshotCacheCapacity = 64;
-
-    /**
-     * Total attempts per job for Transient-classed failures (1 = no
-     * retry). Failures in any other category never retry.
-     */
-    int maxAttempts = 3;
-
-    /**
-     * Backoff before retry k is retryBackoffBaseUs * 2^(k-1)
-     * microseconds, capped at retryBackoffMaxUs — deterministic, no
-     * jitter, so a scripted fault sequence replays identically.
-     * A retry is abandoned (the Transient error becomes the outcome)
-     * when the job's deadline would expire inside the backoff, or its
-     * cancellation token is already set.
-     */
-    long long retryBackoffBaseUs = 200;
-    long long retryBackoffMaxUs = 20000;
 
     /**
      * Quarantine the delta snapshot tier after this many CONSECUTIVE
@@ -231,9 +215,6 @@ struct CompileOutcome
 {
     std::optional<CompileResult> result;
     std::optional<MusstiError> error;
-
-    /** Compile attempts consumed (> 1 means Transient retries). */
-    int attempts = 1;
 
     bool ok() const { return result.has_value(); }
 
@@ -300,42 +281,15 @@ class CompileService
                             std::function<void(CompileOutcome)> done);
 
     /**
-     * Compile a batch, returning results in submission order. Jobs run
-     * concurrently across the pool; the call blocks until all finish.
-     * The first failed job's error is thrown (legacy all-or-nothing
-     * semantics); use compileAllOutcomes to keep the survivors.
-     */
-    std::vector<CompileResult>
-    compileAll(std::vector<CompileRequest> requests);
-
-    /**
-     * Error-tolerant batch: outcomes in submission order, one per
-     * request, never throws. One malformed circuit in a 1000-job batch
-     * yields 999 results plus one structured error; the surviving
+     * Compile a batch: outcomes in submission order, one per request,
+     * never throws. Jobs run concurrently across the pool; the call
+     * blocks until all finish. One malformed circuit in a 1000-job
+     * batch yields 999 results plus one structured error; the surviving
      * results are bit-identical to the batch without the bad job, at
      * any thread count.
      */
     std::vector<CompileOutcome>
     compileAllOutcomes(std::vector<CompileRequest> requests);
-
-    /**
-     * Batch sweep: compileAll with deterministic per-job seeding. Every
-     * request without an explicit seed gets deriveJobSeed(base_seed,
-     * index) — index being the request's position in the batch — so a
-     * sweep's results are a pure function of (requests, base_seed),
-     * independent of the pool's thread count and completion order.
-     * This is the fleet-sweep primitive the device tuner fans its
-     * (spec x workload) grid through; results come back in submission
-     * order.
-     */
-    std::vector<CompileResult>
-    compileSweep(std::vector<CompileRequest> requests,
-                 std::uint64_t base_seed);
-
-    /** Error-tolerant compileSweep (same seeding, outcomes per job). */
-    std::vector<CompileOutcome>
-    compileSweepOutcomes(std::vector<CompileRequest> requests,
-                         std::uint64_t base_seed);
 
     /**
      * Stop the pool: reject new submissions (inline Cancelled
@@ -349,7 +303,8 @@ class CompileService
     /**
      * Deterministic per-job seed derivation (SplitMix64 over the base
      * seed and job index) — independent of thread count and completion
-     * order, so seeded batches replay exactly.
+     * order, so a batch seeded by job index replays exactly (the device
+     * tuner seeds its sweep this way).
      */
     static std::uint64_t deriveJobSeed(std::uint64_t base_seed,
                                        std::size_t job_index);
@@ -386,12 +341,10 @@ class CompileService
         std::size_t snapshotCount = 0;  ///< Snapshots currently cached.
         std::size_t snapshotBytes = 0;  ///< Their approximate footprint.
 
-        // ---- failure-path counters (jobsRetried counts extra
-        // attempts, so a job that succeeded on attempt 3 adds 2) ------
+        // ---- failure-path counters -----------------------------------
         std::uint64_t jobsFailed = 0;    ///< Non-timeout/cancel failures.
         std::uint64_t jobsTimedOut = 0;  ///< Jobs resolved Timeout.
         std::uint64_t jobsCancelled = 0; ///< Jobs resolved Cancelled.
-        std::uint64_t jobsRetried = 0;   ///< Transient retry attempts.
         std::uint64_t deltaQuarantines = 0; ///< Tier quarantine events.
         bool deltaQuarantined = false;   ///< Tier currently quarantined.
 
@@ -454,10 +407,10 @@ class CompileService
     /** Book a finished job; drop its client once it has no work left. */
     void finishLocked(const std::string &client);
 
-    /** Run one job to an outcome: cache, retry loop, delta exchange. */
+    /** Run one job to an outcome: cache lookup, compile, cache store. */
     CompileOutcome runJob(CompileRequest &request);
 
-    /** One compile attempt, carrying the job's delta exchange and control. */
+    /** The job's compile, carrying its delta exchange and control. */
     CompileResult
     compileOnce(const CompileRequest &request, Circuit circuit,
                 const CacheKey &key,
@@ -465,19 +418,10 @@ class CompileService
                 const JobControl &control);
 
     /**
-     * Book the failure/retry counters and run the job's callback — the
+     * Book the failure counters and run the job's callback — the
      * single accounting point every delivery funnels through.
      */
     void deliver(Job job, CompileOutcome outcome);
-
-    /**
-     * Sleep the deterministic backoff before retry `attempt + 1`.
-     * False when the retry is pointless (deadline would expire inside
-     * the backoff, token already set) — the caller then keeps the
-     * Transient error as the outcome.
-     */
-    bool backoffBeforeRetry(const CompileRequest &request,
-                            int attempt) const;
 
     /** Record a candidate-backed cold fallback; maybe quarantine. */
     void noteDeltaFallback();
@@ -564,7 +508,6 @@ class CompileService
     std::atomic<std::uint64_t> jobsFailed_{0};
     std::atomic<std::uint64_t> jobsTimedOut_{0};
     std::atomic<std::uint64_t> jobsCancelled_{0};
-    std::atomic<std::uint64_t> jobsRetried_{0};
     std::atomic<std::uint64_t> deltaQuarantines_{0};
     std::atomic<int> deltaFallbackStreak_{0};
     std::atomic<bool> deltaQuarantined_{false};

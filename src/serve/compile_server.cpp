@@ -37,12 +37,11 @@ serviceConfigOf(const CompileServerConfig &config)
 }
 
 ServeResponse
-errorResponse(std::uint64_t id, const MusstiError &error, int attempts = 1)
+errorResponse(std::uint64_t id, const MusstiError &error)
 {
     ServeResponse response;
     response.id = id;
     response.ok = false;
-    response.attempts = attempts;
     response.error.category = error.categoryName();
     response.error.code = error.code();
     response.error.message = error.message();
@@ -252,15 +251,13 @@ CompileServer::handleCompile(Session &session, ServeRequest request)
                 const CompileResult &result = *outcome.result;
                 response.id = id;
                 response.ok = true;
-                response.attempts = outcome.attempts;
                 response.fingerprint = resultFingerprint(result);
                 response.executionTimeUs = result.metrics.executionTimeUs;
                 response.log10Fidelity = result.metrics.log10Fidelity();
                 response.shuttles = result.metrics.shuttleCount;
                 response.swapInsertions = result.swapInsertions;
             } else {
-                response = errorResponse(id, *outcome.error,
-                                         outcome.attempts);
+                response = errorResponse(id, *outcome.error);
             }
             sendResponse(session, response);
             // Notify under the lock: once it drops, the session may
@@ -294,7 +291,6 @@ CompileServer::handleStats(Session &session, std::uint64_t id)
     put("jobs_failed", cache.jobsFailed);
     put("jobs_timed_out", cache.jobsTimedOut);
     put("jobs_cancelled", cache.jobsCancelled);
-    put("jobs_retried", cache.jobsRetried);
     put("admission_submitted", admission.submitted);
     put("admission_dispatched", admission.dispatched);
     put("admission_completed", admission.completed);

@@ -5,7 +5,7 @@
  *     transport (this file)  — framing, sessions, protocol
  *          |
  *     CompileService         — one DRR queue over clients, running-job
- *          |                   budget, worker pool, retry, deadlines
+ *          |                   budget, worker pool, deadlines
  *     result cache           — memory BoundedLru, then persistent
  *                              DiskResultCache; disk hits promote
  *                              into memory

@@ -174,8 +174,6 @@ encodeResponse(const ServeResponse &response)
     field(out, first, "ok");
     out << (response.ok ? "true" : "false");
     if (response.ok) {
-        field(out, first, "attempts");
-        out << response.attempts;
         field(out, first, "fingerprint");
         out << '"' << hexU64(response.fingerprint) << '"';
         field(out, first, "exec_time_us");
@@ -192,8 +190,6 @@ encodeResponse(const ServeResponse &response)
             << "\",\"code\":\"" << jsonEscape(response.error.code)
             << "\",\"message\":\"" << jsonEscape(response.error.message)
             << "\"}";
-        field(out, first, "attempts");
-        out << response.attempts;
     }
     if (!response.stats.empty()) {
         field(out, first, "stats");
@@ -226,8 +222,6 @@ decodeResponse(const std::string &text, ServeResponse &response)
                         static_cast<std::uint64_t>(p.parseNumber());
                 } else if (key == "ok") {
                     decoded.ok = p.parseBool();
-                } else if (key == "attempts") {
-                    decoded.attempts = static_cast<int>(parseInteger(p));
                 } else if (key == "fingerprint") {
                     decoded.fingerprint = parseU64(p.parseString());
                 } else if (key == "exec_time_us") {

@@ -86,7 +86,6 @@ struct ServeResponse
     bool ok = false;
 
     // ---- success arm -------------------------------------------------
-    int attempts = 1;
     std::uint64_t fingerprint = 0; ///< resultFingerprint(result).
     double executionTimeUs = 0.0;
     double log10Fidelity = 0.0;

@@ -15,16 +15,6 @@ namespace mussti {
 
 namespace {
 
-/**
- * Attempts the tuner gives a Transient-faulted probe or sweep job
- * before declaring the candidate infeasible. Retries are deterministic:
- * a probe is a pure function of the spec, and a retried sweep job
- * recompiles under the seed of its original flat index, so the outcome
- * set — and therefore the front — is identical whether a job resolved
- * on round one or round three.
- */
-constexpr int kTunerFaultAttempts = 3;
-
 /** Render a structured error for an infeasibleReason field. */
 std::string
 describeFailure(const MusstiError &error)
@@ -166,36 +156,28 @@ tuneDeviceSpec(const TunerConfig &config, const SpecSearchSpace &space,
     // probe is quiet (tryCreate) — an out-of-range candidate is an
     // expected part of a sweep, not console noise — and deterministic,
     // so the feasible set is identical on every run. The TunerProbe
-    // fault site covers the probe: a Transient fault retries (the probe
-    // is pure, so a retry decides identically); anything persistent
-    // marks the candidate infeasible instead of aborting the tune.
+    // fault site covers the probe: a probe that fails marks the
+    // candidate infeasible instead of aborting the tune.
     std::vector<std::size_t> feasible;
     for (std::size_t i = 0; i < outcome.candidates.size(); ++i) {
         TuneCandidate &candidate = outcome.candidates[i];
-        for (int attempt = 0;; ++attempt) {
-            try {
-                FaultInjector::maybeThrow(FaultSite::TunerProbe);
-                candidate.feasible = true;
-                for (const Circuit &circuit : circuits) {
-                    std::string reason;
-                    if (!DeviceRegistry::tryCreate(candidate.spec,
-                                                   circuit.numQubits(),
-                                                   &reason)) {
-                        candidate.feasible = false;
-                        candidate.infeasibleReason = reason;
-                        break;
-                    }
+        try {
+            FaultInjector::maybeThrow(FaultSite::TunerProbe);
+            candidate.feasible = true;
+            for (const Circuit &circuit : circuits) {
+                std::string reason;
+                if (!DeviceRegistry::tryCreate(candidate.spec,
+                                               circuit.numQubits(),
+                                               &reason)) {
+                    candidate.feasible = false;
+                    candidate.infeasibleReason = reason;
+                    break;
                 }
-                break;
-            } catch (...) {
-                const MusstiError error = describeCurrentException();
-                if (error.category() == ErrorCategory::Transient &&
-                    attempt + 1 < kTunerFaultAttempts)
-                    continue;
-                candidate.feasible = false;
-                candidate.infeasibleReason = describeFailure(error);
-                break;
             }
+        } catch (...) {
+            candidate.feasible = false;
+            candidate.infeasibleReason =
+                describeFailure(describeCurrentException());
         }
         if (candidate.feasible)
             feasible.push_back(i);
@@ -207,11 +189,8 @@ tuneDeviceSpec(const TunerConfig &config, const SpecSearchSpace &space,
                    << outcome.candidates.front().infeasibleReason);
 
     // One sharded batch over the whole (feasible spec x workload) grid,
-    // seeded EXPLICITLY by flat job index (the seeds compileSweep would
-    // derive): a job retried in a later round recompiles under the seed
-    // of its original position, so the resolved outcome set is a pure
-    // function of (requests, baseSeed) no matter which round each job
-    // lands in — or how many faults fired along the way.
+    // seeded by flat job index, so the outcome set is a pure function
+    // of (requests, baseSeed) at any pool size.
     std::vector<CompileRequest> requests;
     std::vector<std::size_t> owner; ///< flat job -> candidate index
     requests.reserve(feasible.size() * circuits.size());
@@ -227,63 +206,18 @@ tuneDeviceSpec(const TunerConfig &config, const SpecSearchSpace &space,
         }
     }
 
-    // Outcome-tolerant sweep with bounded retry rounds. A job fails a
-    // round through the service (worker-side faults the service's own
-    // retry gave up on) or at the TunerSweep harvest site; Transient
-    // failures re-enter the next round, anything else is final. Jobs
-    // still failed after the last round poison their candidate:
-    // infeasible with the structured reason, excluded from the front.
-    std::vector<std::optional<CompileResult>> resolved(requests.size());
-    std::vector<std::size_t> unresolved(requests.size());
-    for (std::size_t i = 0; i < unresolved.size(); ++i)
-        unresolved[i] = i;
-
-    for (int round = 0;
-         round < kTunerFaultAttempts && !unresolved.empty(); ++round) {
-        std::vector<CompileRequest> batch;
-        batch.reserve(unresolved.size());
-        for (const std::size_t idx : unresolved)
-            batch.push_back(requests[idx]);
-        std::vector<CompileOutcome> outcomes =
-            service.compileAllOutcomes(std::move(batch));
-
-        std::vector<std::size_t> retry;
-        for (std::size_t k = 0; k < unresolved.size(); ++k) {
-            const std::size_t idx = unresolved[k];
-            std::optional<MusstiError> failure;
-            if (outcomes[k].ok()) {
-                try {
-                    FaultInjector::maybeThrow(FaultSite::TunerSweep);
-                    resolved[idx] = std::move(*outcomes[k].result);
-                } catch (...) {
-                    failure = describeCurrentException();
-                }
-            } else {
-                failure = std::move(*outcomes[k].error);
-            }
-            if (!failure)
-                continue;
-            if (failure->category() == ErrorCategory::Transient &&
-                round + 1 < kTunerFaultAttempts) {
-                retry.push_back(idx);
-            } else {
-                TuneCandidate &candidate =
-                    outcome.candidates[owner[idx]];
-                candidate.feasible = false;
-                if (candidate.infeasibleReason.empty())
-                    candidate.infeasibleReason =
-                        describeFailure(*failure);
-            }
-        }
-        unresolved = std::move(retry);
-    }
-    for (const std::size_t idx : unresolved) {
+    // A failed job poisons its candidate: infeasible with the
+    // structured reason, excluded from the front.
+    std::vector<CompileOutcome> outcomes =
+        service.compileAllOutcomes(std::move(requests));
+    for (std::size_t idx = 0; idx < outcomes.size(); ++idx) {
+        if (outcomes[idx].ok())
+            continue;
         TuneCandidate &candidate = outcome.candidates[owner[idx]];
         candidate.feasible = false;
         if (candidate.infeasibleReason.empty())
             candidate.infeasibleReason =
-                "sweep compile kept failing Transient after " +
-                std::to_string(kTunerFaultAttempts) + " rounds";
+                describeFailure(outcomes[idx].errorInfo());
     }
 
     // Score the survivors (a candidate needs every workload resolved).
@@ -297,7 +231,7 @@ tuneDeviceSpec(const TunerConfig &config, const SpecSearchSpace &space,
         for (std::size_t w = 0; w < circuits.size(); ++w, ++next) {
             if (!candidate.feasible)
                 continue;
-            const ScoreCard card = scoreCardOf(*resolved[next]);
+            const ScoreCard card = scoreCardOf(outcomes[next].value());
             candidate.perWorkload.push_back(card);
             candidate.total.accumulate(card);
         }

@@ -14,13 +14,10 @@
  * (sim/score_card.h), and returns a deterministic Pareto front plus
  * one recommended spec.
  *
- * Fault tolerance: the probe and sweep paths carry fault-injection
- * sites (TunerProbe, TunerSweep). Transient failures — injected or
- * real — retry up to a fixed round bound; a retried sweep job
- * recompiles under its original flat-index seed, so the front is
- * bit-identical whether or not faults fired. Persistent failures mark
- * just that candidate infeasible (with the structured reason) instead
- * of aborting the tune.
+ * Fault tolerance: a failed feasibility probe (fault site TunerProbe)
+ * or a failed sweep compile marks just that candidate infeasible, with
+ * the structured reason, instead of aborting the tune. Failures are not
+ * retried.
  *
  * Determinism contract: a TuneOutcome is a pure function of the
  * TunerConfig — candidate order is the search grammar's enumeration

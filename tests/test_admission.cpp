@@ -338,7 +338,7 @@ TEST(Admission, ResultsAreBitIdenticalToADirectBatch)
 {
     // Fairness reorders starts, never what a job compiles to. Two
     // clients interleaving through a multi-thread pool must fingerprint
-    // identically to a direct compileAll.
+    // identically to a direct batch.
     const std::vector<std::string> families = {"ghz", "bv", "qft",
                                                "adder"};
     std::vector<CompileRequest> direct;
@@ -350,9 +350,9 @@ TEST(Admission, ResultsAreBitIdenticalToADirectBatch)
     std::vector<std::uint64_t> want;
     {
         CompileService service{CompileServiceConfig{}};
-        for (CompileResult &result :
-             service.compileAll(std::move(direct)))
-            want.push_back(resultFingerprint(result));
+        for (const CompileOutcome &outcome :
+             service.compileAllOutcomes(std::move(direct)))
+            want.push_back(resultFingerprint(outcome.value()));
     }
 
     CompileServiceConfig config;

@@ -2,7 +2,7 @@
  * @file
  * Tests for the deterministic fault-injection harness and the
  * CompileService's fault tolerance under it: scripted trigger replay,
- * retry-with-backoff recovery, delta-tier quarantine, shutdown
+ * injected failures as ordinary outcomes, delta-tier quarantine, shutdown
  * draining, and a soak test that drives a faulted service through a
  * mixed workload asserting no deadlock, no leaked promise, no cache
  * poisoning, and bit-identical survivors.
@@ -186,13 +186,10 @@ TEST(FaultInjector, ArmResetsCounters)
     EXPECT_EQ(FaultInjector::visitCount(FaultSite::CacheStore), 0u);
 }
 
-TEST(FaultService, RetryRecoversFromTransientFaults)
+TEST(FaultService, InjectedTransientFaultIsAnOrdinaryFailure)
 {
     CompileServiceConfig config;
     config.numThreads = 1;
-    config.maxAttempts = 3;
-    config.retryBackoffBaseUs = 1;
-    config.retryBackoffMaxUs = 10;
     CompileService service(config);
     const auto backend = makeMusstiBackend();
     const Circuit qc = makeBenchmark("ghz", 30);
@@ -201,48 +198,24 @@ TEST(FaultService, RetryRecoversFromTransientFaults)
     FaultScript script;
     script.triggers.push_back({FaultSite::WorkerDequeue, 0,
                                ErrorCategory::Transient, "fault.injected"});
-    script.triggers.push_back({FaultSite::WorkerDequeue, 1,
-                               ErrorCategory::Transient, "fault.injected"});
     const ScopedFaultScript armed(script);
 
-    CompileOutcome outcome =
+    // The service does not retry: the job resolves on its first pick-up
+    // with the injected error, and nothing compiles.
+    const CompileOutcome failed =
         service.submitOutcome({backend, qc, {}, {}, {}}).get();
-    ASSERT_TRUE(outcome.ok());
-    EXPECT_EQ(outcome.attempts, 3);
-    EXPECT_EQ(fingerprint(outcome.value()), fingerprint(reference));
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.errorInfo().category(), ErrorCategory::Transient);
+    EXPECT_EQ(failed.errorInfo().code(), "fault.injected");
+    EXPECT_EQ(FaultInjector::visitCount(FaultSite::WorkerDequeue), 1u);
+    EXPECT_EQ(service.jobsExecuted(), 0u);
+    EXPECT_EQ(service.cacheStats().jobsFailed, 1u);
 
-    const CompileService::CacheStats stats = service.cacheStats();
-    EXPECT_EQ(stats.jobsRetried, 2u);
-    EXPECT_EQ(stats.jobsFailed, 0u);
-}
-
-TEST(FaultService, RetryGivesUpAfterMaxAttempts)
-{
-    CompileServiceConfig config;
-    config.numThreads = 1;
-    config.maxAttempts = 3;
-    config.retryBackoffBaseUs = 1;
-    config.retryBackoffMaxUs = 10;
-    CompileService service(config);
-    const auto backend = makeMusstiBackend();
-
-    FaultScript script;
-    for (std::uint64_t visit = 0; visit < 3; ++visit)
-        script.triggers.push_back({FaultSite::WorkerDequeue, visit,
-                                   ErrorCategory::Transient,
-                                   "fault.injected"});
-    const ScopedFaultScript armed(script);
-
-    CompileOutcome outcome =
-        service.submitOutcome({backend, makeGhz(20), {}, {}, {}}).get();
-    ASSERT_FALSE(outcome.ok());
-    EXPECT_EQ(outcome.attempts, 3);
-    EXPECT_EQ(outcome.errorInfo().category(), ErrorCategory::Transient);
-    EXPECT_EQ(outcome.errorInfo().code(), "fault.injected");
-
-    const CompileService::CacheStats stats = service.cacheStats();
-    EXPECT_EQ(stats.jobsFailed, 1u);
-    EXPECT_EQ(stats.jobsRetried, 2u);
+    // Resubmitting is the caller's retry, and it compiles the reference.
+    const CompileOutcome resubmitted =
+        service.submitOutcome({backend, qc, {}, {}, {}}).get();
+    ASSERT_TRUE(resubmitted.ok());
+    EXPECT_EQ(fingerprint(resubmitted.value()), fingerprint(reference));
 }
 
 TEST(FaultService, NonTransientInjectionNeverRetries)
@@ -262,17 +235,14 @@ TEST(FaultService, NonTransientInjectionNeverRetries)
         service.submitOutcome(
             {makeMusstiBackend(), makeGhz(20), {}, {}, {}}).get();
     ASSERT_FALSE(outcome.ok());
-    EXPECT_EQ(outcome.attempts, 1);
     EXPECT_EQ(outcome.errorInfo().category(),
               ErrorCategory::ResourceExhausted);
-    EXPECT_EQ(service.cacheStats().jobsRetried, 0u);
 }
 
 TEST(FaultService, FailedJobsNeverPoisonTheResultCache)
 {
     CompileServiceConfig config;
     config.numThreads = 1;
-    config.maxAttempts = 1; // fail fast, no retry
     CompileService service(config);
     const auto backend = makeMusstiBackend();
     const Circuit qc = makeBenchmark("adder", 30);
@@ -443,9 +413,6 @@ TEST(FaultService, SoakSurvivesScriptedFaultStorm)
     // Fault-free reference service (same config, no injection).
     CompileServiceConfig config;
     config.numThreads = 1;
-    config.maxAttempts = 3;
-    config.retryBackoffBaseUs = 1;
-    config.retryBackoffMaxUs = 10;
     {
         CompileService reference(config);
         for (SoakJob &job : jobs) {

@@ -152,7 +152,6 @@ TEST(ServeProtocol, ResponseRoundTripsBothArms)
     ServeResponse success;
     success.id = 9;
     success.ok = true;
-    success.attempts = 3;
     success.fingerprint = 0xdeadbeefcafef00dull; // > 2^53 as well
     success.executionTimeUs = 123.5;
     success.log10Fidelity = -0.25;
@@ -163,7 +162,6 @@ TEST(ServeProtocol, ResponseRoundTripsBothArms)
     ASSERT_TRUE(decodeResponse(encodeResponse(success), decoded));
     EXPECT_TRUE(decoded.ok);
     EXPECT_EQ(decoded.id, 9u);
-    EXPECT_EQ(decoded.attempts, 3);
     EXPECT_EQ(decoded.fingerprint, success.fingerprint);
     EXPECT_DOUBLE_EQ(decoded.executionTimeUs, 123.5);
     EXPECT_DOUBLE_EQ(decoded.log10Fidelity, -0.25);
@@ -189,6 +187,42 @@ TEST(ServeProtocol, ResponseRoundTripsBothArms)
     EXPECT_EQ(decoded.stats[0].first, "jobs_executed");
     EXPECT_EQ(decoded.stats[0].second, 5);
     EXPECT_EQ(decoded.stats[1].second, 2);
+}
+
+TEST(ServeProtocol, AttemptsKeyIsGoneButOlderFramesStillDecode)
+{
+    // The service never retries, so no response reports an attempt
+    // count; neither arm emits the key.
+    ServeResponse success;
+    success.id = 1;
+    success.ok = true;
+    ServeResponse failure;
+    failure.id = 2;
+    failure.error = {"Transient", "fault.injected", "injected"};
+    EXPECT_EQ(encodeResponse(success).find("\"attempts\""),
+              std::string::npos);
+    EXPECT_EQ(encodeResponse(failure).find("\"attempts\""),
+              std::string::npos);
+
+    // A frame from an older server still carries "attempts"; the
+    // decoder skips it like any unknown key.
+    ServeResponse decoded;
+    ASSERT_TRUE(decodeResponse(
+        "{\"id\":3,\"ok\":true,\"attempts\":3,"
+        "\"fingerprint\":\"0x2a\",\"shuttles\":5}",
+        decoded));
+    EXPECT_TRUE(decoded.ok);
+    EXPECT_EQ(decoded.id, 3u);
+    EXPECT_EQ(decoded.fingerprint, 0x2au);
+    EXPECT_EQ(decoded.shuttles, 5);
+    ASSERT_TRUE(decodeResponse(
+        "{\"id\":4,\"ok\":false,\"error\":{\"category\":\"Transient\","
+        "\"code\":\"fault.injected\",\"message\":\"m\"},"
+        "\"attempts\":3}",
+        decoded));
+    EXPECT_FALSE(decoded.ok);
+    EXPECT_EQ(decoded.id, 4u);
+    EXPECT_EQ(decoded.error.code, "fault.injected");
 }
 
 TEST(ServeProtocol, MalformedPayloadsAreRejectedNotFatal)
@@ -266,6 +300,9 @@ TEST(Serve, CompileMatchesALocalCompileBitForBit)
     EXPECT_EQ(counter(stats, "jobs_executed"), 1);
     EXPECT_GE(counter(stats, "cache_hits"), 1);
     EXPECT_GE(counter(stats, "admission_completed"), 2);
+    // 19 counters, none for retries: the service never retries.
+    EXPECT_EQ(stats.stats.size(), 19u);
+    EXPECT_EQ(counter(stats, "jobs_retried"), -1);
 
     server.stop();
 }

@@ -181,41 +181,10 @@ class ScopedFaultScript
     ~ScopedFaultScript() { FaultInjector::disarm(); }
 };
 
-TEST(TunerFaults, TransientFaultsLeaveTheFrontBitIdentical)
-{
-    // The fault-tolerance contract: scripted Transient faults at the
-    // probe, the sweep harvest, AND the service's worker dequeue all
-    // retry deterministically, so the tuned front and recommendation
-    // are bit-identical to the unfaulted run.
-    TunerConfig config;
-    config.search = "eml:modules=2..3,cap=16";
-    config.workloads = {parseTuneWorkload("ghz:24")};
-    config.numThreads = 1; // pins the WorkerDequeue visit order
-    const TuneOutcome baseline = tuneDeviceSpec(config);
-
-    FaultScript script;
-    script.triggers = {
-        {FaultSite::TunerProbe, 0, ErrorCategory::Transient,
-         "fault.injected"},
-        {FaultSite::TunerSweep, 1, ErrorCategory::Transient,
-         "fault.injected"},
-        {FaultSite::WorkerDequeue, 0, ErrorCategory::Transient,
-         "fault.injected"},
-    };
-    const ScopedFaultScript armed(script);
-    const TuneOutcome faulted = tuneDeviceSpec(config);
-
-    EXPECT_EQ(FaultInjector::firedCount(FaultSite::TunerProbe), 1u);
-    EXPECT_EQ(FaultInjector::firedCount(FaultSite::TunerSweep), 1u);
-    EXPECT_EQ(FaultInjector::firedCount(FaultSite::WorkerDequeue), 1u);
-    ASSERT_FALSE(faulted.paretoFront.empty());
-    expectSameOutcome(baseline, faulted);
-}
-
 TEST(TunerFaults, PersistentProbeFaultMarksOnlyThatCandidateInfeasible)
 {
-    // A non-Transient probe failure is final: the candidate drops out
-    // with the structured reason, the rest of the tune proceeds.
+    // A probe failure is final: the candidate drops out with the
+    // structured reason, the rest of the tune proceeds.
     const ScopedFatalSilence quiet; // ResourceExhausted echoes
     FaultScript script;
     script.triggers = {{FaultSite::TunerProbe, 0,
@@ -240,22 +209,15 @@ TEST(TunerFaults, PersistentProbeFaultMarksOnlyThatCandidateInfeasible)
     EXPECT_EQ(outcome.recommended, 1);
 }
 
-TEST(TunerFaults, SweepJobFailingEveryRoundPoisonsOnlyItsCandidate)
+TEST(TunerFaults, FailedSweepJobPoisonsOnlyItsCandidate)
 {
-    // 2 feasible candidates x 1 workload = flat jobs 0 and 1. Job 0's
-    // harvest faults Transient in every round (visits 0, then 2 and 3
-    // as the retry batches shrink to just it), exhausting the round
-    // bound; candidate 0 must drop out infeasible while candidate 1 is
-    // scored and recommended.
+    // 2 feasible candidates x 1 workload = flat jobs 0 and 1. On one
+    // worker, job 0 is the first pick-up, so a fault at the first
+    // WorkerDequeue visit fails it; candidate 0 must drop out
+    // infeasible while candidate 1 is scored and recommended.
     FaultScript script;
-    script.triggers = {
-        {FaultSite::TunerSweep, 0, ErrorCategory::Transient,
-         "fault.injected"},
-        {FaultSite::TunerSweep, 2, ErrorCategory::Transient,
-         "fault.injected"},
-        {FaultSite::TunerSweep, 3, ErrorCategory::Transient,
-         "fault.injected"},
-    };
+    script.triggers = {{FaultSite::WorkerDequeue, 0,
+                        ErrorCategory::Transient, "fault.injected"}};
     const ScopedFaultScript armed(script);
 
     TunerConfig config;
@@ -264,7 +226,7 @@ TEST(TunerFaults, SweepJobFailingEveryRoundPoisonsOnlyItsCandidate)
     config.numThreads = 1;
     const TuneOutcome outcome = tuneDeviceSpec(config);
 
-    EXPECT_EQ(FaultInjector::firedCount(FaultSite::TunerSweep), 3u);
+    EXPECT_EQ(FaultInjector::firedCount(FaultSite::WorkerDequeue), 1u);
     ASSERT_EQ(outcome.candidates.size(), 2u);
     EXPECT_FALSE(outcome.candidates[0].feasible);
     EXPECT_NE(outcome.candidates[0].infeasibleReason.find("Transient"),
