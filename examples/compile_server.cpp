@@ -18,14 +18,15 @@
  *                   0 = off)
  *
  * SIGTERM/SIGINT drain gracefully: stop accepting, stream Cancelled for
- * still-queued jobs, finish running compiles, exit 0.
+ * still-queued jobs, finish running compiles, exit 0. Both signals are
+ * blocked before any server thread starts, so every thread inherits the
+ * mask and the main thread takes them synchronously with sigwait().
  */
-#include <atomic>
 #include <csignal>
 #include <iostream>
 #include <string>
 
-#include <sys/socket.h>
+#include <pthread.h>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -34,18 +35,6 @@
 using namespace mussti;
 
 namespace {
-
-// The only async-signal-safe way to stop the daemon: shut down the
-// listen socket, which unblocks the accept loop; main() then drains.
-std::atomic<int> g_listen_fd{-1};
-
-void
-onSignal(int)
-{
-    const int fd = g_listen_fd.load();
-    if (fd >= 0)
-        ::shutdown(fd, SHUT_RDWR);
-}
 
 void
 usage()
@@ -102,21 +91,25 @@ run(int argc, char **argv)
         }
     }
 
+    sigset_t drain_signals;
+    sigemptyset(&drain_signals);
+    sigaddset(&drain_signals, SIGTERM);
+    sigaddset(&drain_signals, SIGINT);
+    pthread_sigmask(SIG_BLOCK, &drain_signals, nullptr);
+
     CompileServer server(config);
     if (!server.start()) {
         std::cerr << "compile_server: cannot bind 127.0.0.1:"
                   << config.port << "\n";
         return 1;
     }
-    g_listen_fd.store(server.listenFd());
-    std::signal(SIGTERM, onSignal);
-    std::signal(SIGINT, onSignal);
 
     // Scripts scrape this line (the CI smoke boots with --port 0).
     std::cout << "compile_server: listening on 127.0.0.1:"
               << server.port() << std::endl;
 
-    server.waitForShutdownRequest();
+    int received = 0;
+    sigwait(&drain_signals, &received);
     std::cout << "compile_server: draining" << std::endl;
     server.stop();
     std::cout << "compile_server: stopped" << std::endl;

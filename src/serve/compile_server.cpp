@@ -115,23 +115,15 @@ CompileServer::stop()
     // Cancelled responses, running jobs finish and stream results.
     service_.shutdown();
 
-    std::lock_guard<std::mutex> lock(sessionsMutex_);
-    for (auto &session : sessions_) {
-        std::lock_guard<std::mutex> state(session->stateMutex);
-        if (session->fd >= 0)
-            ::shutdown(session->fd, SHUT_RD);
-    }
-    // Each reader closes its own fd on the way out.
-    for (auto &session : sessions_)
-        session->reader.join();
-    sessions_.clear();
+    std::unique_lock<std::mutex> lock(sessionsMutex_);
+    for (const int fd : readers_)
+        ::shutdown(fd, SHUT_RD);
+    readersLeft_.wait(lock, [this] { return readers_.empty(); });
 }
 
-void
-CompileServer::waitForShutdownRequest()
+CompileServer::Session::~Session()
 {
-    std::unique_lock<std::mutex> lock(acceptExitMutex_);
-    acceptExitCv_.wait(lock, [this] { return acceptExited_; });
+    ::close(fd);
 }
 
 void
@@ -148,70 +140,44 @@ CompileServer::acceptLoop()
                 // The pending connection stays queued; retry once
                 // finishing sessions had a moment to close theirs.
                 std::this_thread::sleep_for(std::chrono::milliseconds(10));
-                std::lock_guard<std::mutex> lock(sessionsMutex_);
-                reapFinishedLocked();
                 continue;
             }
-            break; // Listen socket shut down (stop() or SIGTERM path).
+            break; // Listen socket shut down by stop().
         }
         std::lock_guard<std::mutex> lock(sessionsMutex_);
         if (stopping_.load()) {
             ::close(fd); // Lost the race against stop().
             break;
         }
-        reapFinishedLocked();
-        auto session = std::make_unique<Session>();
-        session->fd = fd;
-        Session &ref = *session;
-        sessions_.push_back(std::move(session));
-        ref.reader = std::thread([this, &ref] { sessionLoop(ref); });
+        readers_.insert(fd);
+        auto session = std::make_shared<Session>(fd);
+        std::thread([this, session] { sessionLoop(session); }).detach();
     }
-    {
-        std::lock_guard<std::mutex> lock(acceptExitMutex_);
-        acceptExited_ = true;
-    }
-    acceptExitCv_.notify_all();
 }
 
 void
-CompileServer::reapFinishedLocked()
-{
-    std::erase_if(sessions_, [](const std::unique_ptr<Session> &session) {
-        {
-            std::lock_guard<std::mutex> state(session->stateMutex);
-            if (!session->finished)
-                return false;
-        }
-        session->reader.join(); // Past its last statement already.
-        return true;
-    });
-}
-
-void
-CompileServer::sessionLoop(Session &session)
+CompileServer::sessionLoop(const SessionPtr &session)
 {
     std::string payload;
-    while (readFrame(session.fd, payload))
+    while (readFrame(session->fd, payload))
         handleFrame(session, payload);
 
-    // EOF or cut read side: every accepted job still streams its
-    // response, so the write side stays open until the last one lands.
-    // Then the fd goes back to the pool — under stateMutex, which is
-    // how stop() reads it.
-    std::unique_lock<std::mutex> state(session.stateMutex);
-    session.drained.wait(state,
-                         [&session] { return session.outstanding == 0; });
-    ::close(session.fd);
-    session.fd = -1;
-    session.finished = true;
+    // EOF or cut read side. Jobs still pending keep the session, and
+    // with it the write side, until their responses are out. Leaving
+    // readers_ is this thread's last touch of the server: stop() may
+    // return the moment the lock drops.
+    std::lock_guard<std::mutex> lock(sessionsMutex_);
+    readers_.erase(session->fd);
+    readersLeft_.notify_all();
 }
 
 void
-CompileServer::handleFrame(Session &session, const std::string &payload)
+CompileServer::handleFrame(const SessionPtr &session,
+                           const std::string &payload)
 {
     ServeRequest request;
     if (!decodeRequest(payload, request)) {
-        sendResponse(session,
+        sendResponse(*session,
                      errorResponse(request.id,
                                    MusstiError(ErrorCategory::InvalidInput,
                                                "serve.bad-frame",
@@ -219,13 +185,13 @@ CompileServer::handleFrame(Session &session, const std::string &payload)
         return;
     }
     if (request.type == ServeRequestType::Stats)
-        handleStats(session, request.id);
+        handleStats(*session, request.id);
     else
         handleCompile(session, std::move(request));
 }
 
 void
-CompileServer::handleCompile(Session &session, ServeRequest request)
+CompileServer::handleCompile(const SessionPtr &session, ServeRequest request)
 {
     std::optional<CompileRequest> job;
     try {
@@ -234,18 +200,14 @@ CompileServer::handleCompile(Session &session, ServeRequest request)
         ScopedFatalSilence quiet(true);
         job = buildRequest(request);
     } catch (...) {
-        sendResponse(session,
+        sendResponse(*session,
                      errorResponse(request.id, describeCurrentException()));
         return;
     }
 
-    {
-        std::lock_guard<std::mutex> state(session.stateMutex);
-        ++session.outstanding;
-    }
     const std::uint64_t id = request.id;
     service_.submitWithCallback(
-        std::move(*job), [this, &session, id](CompileOutcome outcome) {
+        std::move(*job), [session, id](CompileOutcome outcome) {
             ServeResponse response;
             if (outcome.ok()) {
                 const CompileResult &result = *outcome.result;
@@ -259,12 +221,7 @@ CompileServer::handleCompile(Session &session, ServeRequest request)
             } else {
                 response = errorResponse(id, *outcome.error);
             }
-            sendResponse(session, response);
-            // Notify under the lock: once it drops, the session may
-            // close and be reaped, so nothing here may touch it after.
-            std::lock_guard<std::mutex> state(session.stateMutex);
-            --session.outstanding;
-            session.drained.notify_all();
+            sendResponse(*session, response);
         });
 }
 
@@ -314,17 +271,29 @@ CompileServer::sendResponse(Session &session, const ServeResponse &response)
 CompileRequest
 CompileServer::buildRequest(const ServeRequest &request) const
 {
+    // Bounded before anything is built: makeBenchmark is O(n^2) gates
+    // on the reader thread for some families.
+    auto requireServable = [](long long qubits) {
+        if (qubits < 0 || qubits > kMaxServeQubits)
+            fatalCoded("serve.qubits-out-of-range",
+                       "circuit of " + std::to_string(qubits) +
+                           " qubits is outside [0, " +
+                           std::to_string(kMaxServeQubits) + "]");
+    };
     Circuit circuit(1);
-    if (!request.qasm.empty())
+    if (!request.qasm.empty()) {
         circuit = fromQasm(request.qasm,
                            request.name.empty() ? "qasm" : request.name);
-    else if (!request.family.empty())
+        requireServable(circuit.numQubits());
+    } else if (!request.family.empty()) {
+        requireServable(request.qubits);
         circuit = makeBenchmark(request.family,
                                 request.qubits > 0 ? request.qubits : 32);
-    else
+    } else {
         fatalCoded("serve.no-circuit",
                    "compile request names neither a benchmark family "
                    "nor inline QASM");
+    }
 
     // Backend/device resolution mirrors compile_cli exactly — the
     // determinism contract depends on a served compile being configured
@@ -356,9 +325,20 @@ CompileServer::buildRequest(const ServeRequest &request) const
                        request.client};
     if (request.hasSeed)
         job.seed = request.seed;
-    if (request.deadlineMs > 0)
-        job.deadline = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(request.deadlineMs);
+    if (request.deadlineMs > 0) {
+        // now() + deadline must not wrap the clock's nanosecond count
+        // (about 292 years of headroom), or it lands in the past.
+        using Clock = std::chrono::steady_clock;
+        const Clock::time_point now = Clock::now();
+        if (request.deadlineMs >
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                Clock::time_point::max() - now)
+                .count())
+            fatalCoded("serve.bad-deadline",
+                       "deadline_ms " + std::to_string(request.deadlineMs) +
+                           " is beyond what the clock can represent");
+        job.deadline = now + std::chrono::milliseconds(request.deadlineMs);
+    }
     return job;
 }
 

@@ -10,17 +10,18 @@
  *                              DiskResultCache; disk hits promote
  *                              into memory
  *
- * One session per accepted connection; each session has a reader
- * thread that decodes request frames and submits them straight to the
- * service, under the request's client name. A session whose peer hung
- * up closes its socket once its last response is out, and the accept
- * loop reaps it, so a long-lived daemon holds fds and threads only for
- * live connections. Responses are STREAMED: each job's response frame
- * goes out the moment its outcome resolves (a per-session write mutex
- * keeps frames whole), so responses arrive out of order and clients
- * correlate by id. Every layer below the transport is deterministic —
- * a compile's result is a pure function of (circuit, config, seed) —
- * so the fingerprints a server streams are bit-identical to a local
+ * One session per accepted connection. Its detached reader thread
+ * decodes request frames and submits them straight to the service,
+ * under the request's client name. The reader and every job callback
+ * it submitted share the session, and its socket closes with the last
+ * of them, so nothing reaps sessions: a long-lived daemon holds fds
+ * and threads only for live connections and unanswered jobs.
+ * Responses are STREAMED: each job's response frame goes out the
+ * moment its outcome resolves (a per-session write mutex keeps frames
+ * whole), so responses arrive out of order and clients correlate by
+ * id. Every layer below the transport is deterministic — a compile's
+ * result is a pure function of (circuit, config, seed) — so the
+ * fingerprints a server streams are bit-identical to a local
  * compile_cli run at any thread count and any client interleaving.
  *
  * Failures stay structured end to end: a malformed frame, an unknown
@@ -28,11 +29,17 @@
  * back as a response carrying the MusstiError taxonomy (category /
  * code / message); nothing a client sends can take the daemon down.
  *
- * Graceful drain (stop(), also the SIGTERM path of the example
- * daemon): close the listen socket, shut the service down — still-queued
- * jobs stream Cancelled responses, running compiles finish and stream
- * their results — then shut the sessions' read sides and join. Started
+ * Graceful drain (stop(); the example daemon calls it once sigwait()
+ * returns SIGTERM or SIGINT): close the listen socket, shut the service
+ * down — still-queued jobs stream Cancelled responses, running compiles
+ * finish and stream their results — then shut the read side of every
+ * session still reading and wait for those readers to leave. Started
  * work is never abandoned mid-compile.
+ *
+ * Request bounds: a family request names 0 (the 32-qubit default) to
+ * kMaxServeQubits qubits, and a QASM circuit declares at most
+ * kMaxServeQubits; anything else is answered with
+ * serve.qubits-out-of-range before a circuit is built or compiled.
  */
 #ifndef MUSSTI_SERVE_COMPILE_SERVER_H
 #define MUSSTI_SERVE_COMPILE_SERVER_H
@@ -42,14 +49,21 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "core/compile_service.h"
 #include "serve/protocol.h"
 
 namespace mussti {
+
+/**
+ * Largest circuit the daemon builds, in qubits: the bound on a family
+ * request's `qubits` and on a QASM circuit's register. The paper's
+ * largest evaluation circuits (adder:576) fit with room to spare.
+ */
+inline constexpr int kMaxServeQubits = 1024;
 
 /** Daemon sizing: socket, pool, cache tiers, fairness policy. */
 struct CompileServerConfig
@@ -103,68 +117,51 @@ class CompileServer
     /**
      * Graceful drain, in layer order: stop accepting, shut the service
      * down (queued jobs stream Cancelled responses, running compiles
-     * finish), close sessions, join every thread. Idempotent; the
-     * destructor calls it.
+     * finish), cut the sessions' read sides and wait for their readers
+     * to leave. Idempotent; the destructor calls it.
      */
     void stop();
 
-    /**
-     * Block until something ends the accept loop — stop() from another
-     * thread, or an out-of-band shutdown of the listen socket (the
-     * SIGTERM handler of the example daemon does exactly that, it being
-     * the only async-signal-safe option). Returns without draining;
-     * callers follow with stop().
-     */
-    void waitForShutdownRequest();
-
     /** The bound port (resolved after start(), also for port = 0). */
     int port() const { return port_; }
-
-    /**
-     * The listen socket, for async-signal-safe shutdown from a signal
-     * handler: ::shutdown(listenFd(), SHUT_RDWR) unblocks the accept
-     * loop, waitForShutdownRequest() returns, and the caller runs
-     * stop(). -1 before start().
-     */
-    int listenFd() const { return listenFd_; }
 
     /** Layer introspection (stats endpoints, tests). */
     const CompileService &service() const { return service_; }
 
   private:
+    /**
+     * One connection. The reader thread and each pending job callback
+     * hold it by shared_ptr; the last one to let go closes the socket.
+     */
     struct Session
     {
-        int fd = -1;
-        std::thread reader;
-        std::mutex writeMutex;           ///< One frame at a time.
-        std::size_t outstanding = 0;     ///< Jobs not yet responded.
-        std::condition_variable drained; ///< outstanding -> 0.
-        bool finished = false;           ///< Reader done, fd closed.
-        std::mutex stateMutex;           ///< fd, outstanding, finished.
+        explicit Session(int socket) : fd(socket) {}
+        ~Session();
+
+        const int fd;
+        std::mutex writeMutex; ///< One frame at a time.
     };
+    using SessionPtr = std::shared_ptr<Session>;
 
     void acceptLoop();
-
-    /** Join and drop sessions whose reader finished (sessionsMutex_). */
-    void reapFinishedLocked();
-    void sessionLoop(Session &session);
+    void sessionLoop(const SessionPtr &session);
 
     /** Decode + execute one request frame, streaming the response(s). */
-    void handleFrame(Session &session, const std::string &payload);
+    void handleFrame(const SessionPtr &session, const std::string &payload);
 
     /** Submit one compile to the service; the response streams later. */
-    void handleCompile(Session &session, ServeRequest request);
+    void handleCompile(const SessionPtr &session, ServeRequest request);
 
     /** Answer a stats request inline. */
     void handleStats(Session &session, std::uint64_t id);
 
-    void sendResponse(Session &session, const ServeResponse &response);
+    static void sendResponse(Session &session, const ServeResponse &response);
 
     /**
      * Build the CompileRequest a protocol request describes — circuit,
      * backend, seed, absolute deadline (anchored now). Throws the
-     * structured taxonomy on anything malformed; handleCompile converts
-     * that into an InvalidInput-class response.
+     * structured taxonomy on anything malformed or out of bounds;
+     * handleCompile converts that into an InvalidInput-class response.
      */
     CompileRequest buildRequest(const ServeRequest &request) const;
 
@@ -178,12 +175,10 @@ class CompileServer
     bool stopped_ = false; ///< stop() ran to completion (stopMutex_).
     std::mutex stopMutex_;
 
+    /** Fds of the sessions whose reader is still running. */
     std::mutex sessionsMutex_;
-    std::vector<std::unique_ptr<Session>> sessions_;
-
-    std::mutex acceptExitMutex_;
-    std::condition_variable acceptExitCv_;
-    bool acceptExited_ = false;
+    std::set<int> readers_;
+    std::condition_variable readersLeft_; ///< readers_ became empty.
 };
 
 } // namespace mussti

@@ -65,9 +65,13 @@ writeFrame(int fd, const std::string &payload)
         static_cast<char>((len >> 8) & 0xff),
         static_cast<char>(len & 0xff),
     };
-    // Two sends, not one coalesced buffer: the frames are small relative
-    // to compile latency, and the kernel coalesces anyway (no TCP_NODELAY
-    // games needed at this request rate).
+    // Two sends, not one buffer, and this costs latency: Nagle holds the
+    // payload until the peer ACKs the 4-byte prefix, and the peer delays
+    // that ACK. On a shared 4-core kernel-6.18 host a cached round trip
+    // (perfbench serve-cached) takes 88 ms p50. One send alone spread
+    // serve-mixed p90 there from 53-56 ms to 49-95 ms, because cache
+    // hits still queue behind cold compiles; the one-send fix belongs
+    // with a change that stops that queueing.
     return sendAll(fd, prefix, sizeof prefix) &&
            sendAll(fd, payload.data(), payload.size());
 }

@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <cmath>
 #include <limits>
 #include <sstream>
 
@@ -42,10 +43,23 @@ field(std::ostringstream &out, bool &first, const char *key)
     first = false;
 }
 
-long long
+/**
+ * A JSON number that is a whole value in Int's range; fatal otherwise.
+ * The range test runs on the double, because casting an out-of-range
+ * double is undefined. Int's bounds are -2^digits (or 0) and
+ * 2^digits - 1, so [min, 2^digits) is exact in a double.
+ */
+template <typename Int>
+Int
 parseInteger(JsonReader &p)
 {
-    return static_cast<long long>(p.parseNumber());
+    const double value = p.parseNumber();
+    MUSSTI_REQUIRE(
+        std::trunc(value) == value &&
+            value >= static_cast<double>(std::numeric_limits<Int>::min()) &&
+            value < std::ldexp(1.0, std::numeric_limits<Int>::digits),
+        "serve wire integer " << value << " is fractional or out of range");
+    return static_cast<Int>(value);
 }
 
 } // namespace
@@ -124,14 +138,13 @@ decodeRequest(const std::string &text, ServeRequest &request)
                     else
                         return false;
                 } else if (key == "id") {
-                    decoded.id =
-                        static_cast<std::uint64_t>(p.parseNumber());
+                    decoded.id = parseInteger<std::uint64_t>(p);
                 } else if (key == "client") {
                     decoded.client = p.parseString();
                 } else if (key == "family") {
                     decoded.family = p.parseString();
                 } else if (key == "qubits") {
-                    decoded.qubits = static_cast<int>(parseInteger(p));
+                    decoded.qubits = parseInteger<int>(p);
                 } else if (key == "qasm") {
                     decoded.qasm = p.parseString();
                 } else if (key == "name") {
@@ -144,7 +157,7 @@ decodeRequest(const std::string &text, ServeRequest &request)
                     decoded.seed = parseU64(p.parseString());
                     decoded.hasSeed = true;
                 } else if (key == "deadline_ms") {
-                    decoded.deadlineMs = parseInteger(p);
+                    decoded.deadlineMs = parseInteger<long long>(p);
                 } else {
                     p.skipValue(); // Forward compatibility.
                 }
@@ -218,8 +231,7 @@ decodeResponse(const std::string &text, ServeResponse &response)
                 const std::string key = p.parseString();
                 p.expect(':');
                 if (key == "id") {
-                    decoded.id =
-                        static_cast<std::uint64_t>(p.parseNumber());
+                    decoded.id = parseInteger<std::uint64_t>(p);
                 } else if (key == "ok") {
                     decoded.ok = p.parseBool();
                 } else if (key == "fingerprint") {
@@ -229,10 +241,9 @@ decodeResponse(const std::string &text, ServeResponse &response)
                 } else if (key == "log10_fidelity") {
                     decoded.log10Fidelity = p.parseNumber();
                 } else if (key == "shuttles") {
-                    decoded.shuttles = static_cast<int>(parseInteger(p));
+                    decoded.shuttles = parseInteger<int>(p);
                 } else if (key == "swap_insertions") {
-                    decoded.swapInsertions =
-                        static_cast<int>(parseInteger(p));
+                    decoded.swapInsertions = parseInteger<int>(p);
                 } else if (key == "error") {
                     p.expect('{');
                     if (!p.consumeIf('}')) {
@@ -256,8 +267,8 @@ decodeResponse(const std::string &text, ServeResponse &response)
                         do {
                             std::string stat = p.parseString();
                             p.expect(':');
-                            decoded.stats.emplace_back(std::move(stat),
-                                                       parseInteger(p));
+                            decoded.stats.emplace_back(
+                                std::move(stat), parseInteger<long long>(p));
                         } while (p.consumeIf(','));
                         p.expect('}');
                     }

@@ -21,9 +21,12 @@
  *
  * Numeric hygiene: u64 values (seed, fingerprint) are wire-encoded as
  * strings (decimal / "0x" hex) because JSON numbers are doubles and lose
- * bits past 2^53. Decoders treat any malformed payload as a recoverable
- * error (decode functions return false), never a crash — a hostile or
- * buggy peer cannot take the server down.
+ * bits past 2^53. Integer fields (ids, qubits, deadline_ms, shuttles,
+ * swap_insertions, stats values) must be whole numbers in their C++
+ * type's range; 3.7, -1 for an id, or 1e300 are malformed, never
+ * truncated or wrapped. Decoders treat any malformed payload as a
+ * recoverable error (decode functions return false), never a crash — a
+ * hostile or buggy peer cannot take the server down.
  */
 #ifndef MUSSTI_SERVE_PROTOCOL_H
 #define MUSSTI_SERVE_PROTOCOL_H

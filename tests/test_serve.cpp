@@ -7,7 +7,8 @@
  * responses, deadline enforcement under load, fair admission keeping a
  * sweep from starving an interactive client, graceful drain, and the
  * daemon's resource bounds (finished sessions release their fds; fd
- * exhaustion pauses accept instead of ending it).
+ * exhaustion pauses accept instead of ending it; oversized circuits
+ * and clock-overflowing deadlines are rejected up front).
  */
 #include <gtest/gtest.h>
 
@@ -234,6 +235,9 @@ TEST(ServeProtocol, MalformedPayloadsAreRejectedNotFatal)
         "[1,2,3]",
         "{\"type\":\"compile\"",               // truncated
         "{\"type\":\"compile\",\"id\":\"x\"}", // id not numeric
+        "{\"id\":-1}",                          // wraps to 2^64-1
+        "{\"id\":1.5}",
+        "{\"id\":18446744073709551616}",        // 2^64
     };
     for (const std::string &text : garbage) {
         ServeRequest request;
@@ -246,10 +250,28 @@ TEST(ServeProtocol, MalformedPayloadsAreRejectedNotFatal)
     const std::vector<std::string> badRequests = {
         "{\"type\":\"teleport\",\"id\":1}", // unknown type
         "{\"type\":\"compile\",\"id\":1,\"seed\":\"12z\"}",
+        // Integers are checked, not cast: no wrap, no truncation, no
+        // undefined out-of-range float-to-int conversion.
+        "{\"type\":\"compile\",\"id\":1,\"qubits\":4294967297}",
+        "{\"type\":\"compile\",\"id\":1,\"qubits\":1e300}",
+        "{\"type\":\"compile\",\"id\":1,\"qubits\":3.7}",
+        "{\"type\":\"compile\",\"id\":1,\"deadline_ms\":1e300}",
+        "{\"type\":\"compile\",\"id\":1,\"deadline_ms\":2.5}",
     };
     for (const std::string &text : badRequests) {
         ServeRequest request;
         EXPECT_FALSE(decodeRequest(text, request)) << text;
+    }
+    const std::vector<std::string> badResponses = {
+        "{\"id\":1,\"ok\":true,\"shuttles\":4294967297}",
+        "{\"id\":1,\"ok\":true,\"shuttles\":1e300}",
+        "{\"id\":1,\"ok\":true,\"swap_insertions\":3.7}",
+        "{\"id\":1,\"ok\":true,\"stats\":{\"jobs_executed\":1e300}}",
+        "{\"id\":1,\"ok\":true,\"stats\":{\"jobs_executed\":0.5}}",
+    };
+    for (const std::string &text : badResponses) {
+        ServeResponse response;
+        EXPECT_FALSE(decodeResponse(text, response)) << text;
     }
 
     // Unknown keys are skipped, not fatal: forward compatibility.
@@ -408,6 +430,76 @@ TEST(Serve, StructuredErrorsComeBackOverTheWire)
     const ServeResponse okStill =
         client.await(client.send(familyRequest("ghz", 8)));
     EXPECT_TRUE(okStill.ok);
+
+    server.stop();
+}
+
+TEST(Serve, OutOfRangeQubitsAreRejectedBeforeBuilding)
+{
+    ScopedFatalSilence quiet(true);
+    CompileServerConfig config;
+    config.port = 0;
+    config.numThreads = 1;
+    CompileServer server(config);
+    ASSERT_TRUE(server.start());
+
+    CompileClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+
+    ServeRequest wide;
+    wide.client = "test";
+    wide.qasm = "OPENQASM 2.0;\nqreg q[" +
+                std::to_string(kMaxServeQubits + 1) + "];\ncx q[0],q[1];\n";
+    for (const ServeRequest &request :
+         {familyRequest("ghz", kMaxServeQubits + 1), familyRequest("ghz", -1),
+          wide}) {
+        const ServeResponse response = client.await(client.send(request));
+        EXPECT_FALSE(response.ok);
+        EXPECT_EQ(response.error.category, "InvalidInput");
+        EXPECT_EQ(response.error.code, "serve.qubits-out-of-range");
+    }
+
+    // Nothing out of range reached the service; 0 still means the
+    // 32-qubit default.
+    const ServeResponse fallback =
+        client.await(client.send(familyRequest("ghz", 0)));
+    ASSERT_TRUE(fallback.ok)
+        << fallback.error.code << ": " << fallback.error.message;
+    EXPECT_EQ(fallback.fingerprint,
+              resultFingerprint(
+                  makeMusstiBackend()->compile(makeBenchmark("ghz", 32))));
+    EXPECT_EQ(counter(client.stats(), "admission_submitted"), 1);
+
+    server.stop();
+}
+
+TEST(Serve, AnOverflowingDeadlineIsRejectedNotTimedOut)
+{
+    ScopedFatalSilence quiet(true);
+    CompileServerConfig config;
+    config.port = 0;
+    config.numThreads = 1;
+    CompileServer server(config);
+    ASSERT_TRUE(server.start());
+
+    CompileClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+
+    // About 317 years: now() + deadline would wrap the clock.
+    ServeRequest huge = familyRequest("ghz", 8);
+    huge.deadlineMs = 10000000000000LL;
+    const ServeResponse rejected = client.await(client.send(huge));
+    EXPECT_FALSE(rejected.ok);
+    EXPECT_EQ(rejected.error.category, "InvalidInput");
+    EXPECT_EQ(rejected.error.code, "serve.bad-deadline");
+
+    // A long deadline the clock can hold (100 years) is no deadline
+    // pressure at all.
+    ServeRequest patient = familyRequest("ghz", 8);
+    patient.deadlineMs = 100LL * 365 * 24 * 3600 * 1000;
+    const ServeResponse served = client.await(client.send(patient));
+    EXPECT_TRUE(served.ok)
+        << served.error.code << ": " << served.error.message;
 
     server.stop();
 }
