@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "common/logging.h"
 #include "common/string_util.h"
 
 namespace mussti::bench {
@@ -79,19 +78,6 @@ runMussti(const Circuit &circuit, const MusstiConfig &config,
           const PhysicalParams &params)
 {
     return submitMussti(circuit, config, params).get();
-}
-
-std::future<CompileResult>
-submitMusstiOnSpec(const Circuit &circuit, const std::string &device_spec,
-                   const PhysicalParams &params)
-{
-    const DeviceSpec spec = DeviceRegistry::parse(device_spec);
-    MUSSTI_REQUIRE(spec.family == DeviceFamily::Eml,
-                   "submitMusstiOnSpec needs an eml:... spec, got: "
-                   << device_spec);
-    MusstiConfig config;
-    config.device = spec.eml;
-    return submitMussti(circuit, config, params);
 }
 
 CompileResult

@@ -54,15 +54,6 @@ std::future<CompileResult>
 submitBaseline(const std::string &which, const Circuit &circuit,
                const GridConfig &grid, const PhysicalParams &params = {});
 
-/**
- * Enqueue a MUSS-TI compilation on a DeviceRegistry spec ("eml:...",
- * including heterogeneous eml:hetero=... mixes); other MUSS-TI knobs
- * stay at paper defaults.
- */
-std::future<CompileResult>
-submitMusstiOnSpec(const Circuit &circuit, const std::string &device_spec,
-                   const PhysicalParams &params = {});
-
 /** Compile with MUSS-TI paper defaults (overridable); blocks. */
 CompileResult runMussti(const Circuit &circuit,
                         const MusstiConfig &config = {},

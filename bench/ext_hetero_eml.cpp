@@ -69,8 +69,10 @@ main()
         const Circuit qc = makeBenchmark(family, qubits);
         for (const Variant &variant : variants) {
             const int modules = (qubits + 31) / 32;
-            futures.push_back(
-                submitMusstiOnSpec(qc, variant.spec(modules)));
+            futures.push_back(sharedService().submit(
+                makeBackend("mussti",
+                            DeviceRegistry::parse(variant.spec(modules))),
+                qc));
         }
     }
 

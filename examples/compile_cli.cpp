@@ -26,17 +26,13 @@
  *   compile_cli --trace 20 --validate my_circuit.qasm
  */
 #include <cctype>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 
 #include "arch/device_registry.h"
 #include "baselines/backend_factory.h"
-#include "circuit/qasm.h"
 #include "common/string_util.h"
-#include "core/compile_service.h"
 #include "core/compiler.h"
 #include "core/pipeline.h"
 #include "sim/trace.h"
@@ -76,7 +72,7 @@ run(int argc, char **argv)
         if (arg == "--device" && i + 1 < argc) {
             device_spec = argv[++i];
         } else if (arg == "--backend" && i + 1 < argc) {
-            backend_name = toLower(argv[++i]);
+            backend_name = argv[++i];
         } else if (arg == "--trivial") {
             config.mapping = MappingKind::Trivial;
         } else if (arg == "--no-swap-insert") {
@@ -126,52 +122,21 @@ run(int argc, char **argv)
         return 2;
     }
 
-    Circuit circuit(1);
-    if (target.size() > 5 &&
-        target.compare(target.size() - 5, 5, ".qasm") == 0) {
-        std::ifstream in(target);
-        if (!in) {
-            std::cerr << "cannot open " << target << "\n";
-            return 1;
-        }
-        circuit = fromQasmStream(in, target);
-    } else {
-        circuit = makeBenchmark(target, qubits > 0 ? qubits : 32);
-    }
+    const Circuit circuit = circuitFromTarget(target, qubits);
 
-    // Device selection is spec-driven: the registry parses the string
-    // and the backend family must match the device family. A spec
-    // defines the WHOLE device, so combining it with the legacy
+    // A spec defines the WHOLE device, so combining it with the legacy
     // per-knob flags would silently drop one side — refuse instead.
     if (!device_spec.empty() && device_flags)
         fatal("--device replaces the whole device; fold --capacity/"
               "--optical into the spec (e.g. " + device_spec +
               ",cap=20) instead of mixing them");
-    DeviceSpec spec = DeviceRegistry::specOf(config.device);
-    if (!device_spec.empty())
-        spec = DeviceRegistry::parse(device_spec);
-
-    std::shared_ptr<const ICompilerBackend> backend;
-    if (backend_name == "mussti") {
-        if (spec.family != DeviceFamily::Eml)
-            fatal("backend mussti needs an eml:... device spec, got: " +
-                  spec.canonical());
-        config.device = spec.eml;
-        backend = makeMusstiBackend(config);
-    } else {
-        if (spec.family != DeviceFamily::Grid)
-            fatal("backend " + backend_name + " needs a grid:... device "
-                  "spec, got: " + spec.canonical());
-        backend = makeGridBackend(backend_name, spec.grid);
-    }
+    const DeviceSpec spec = device_spec.empty()
+                                ? DeviceRegistry::specOf(config.device)
+                                : DeviceRegistry::parse(device_spec);
+    const auto backend = makeBackend(backend_name, spec, config);
     const std::shared_ptr<const TargetDevice> device =
         DeviceRegistry::create(spec, circuit.numQubits());
-
-    CompileServiceConfig service_config;
-    service_config.numThreads = 1;   // one job; no pool needed
-    service_config.cacheCapacity = 0;
-    CompileService service(service_config);
-    const auto result = service.submit(backend, circuit).get();
+    const CompileResult result = backend->compile(circuit);
 
     std::cout << "circuit      : " << circuit.name() << " ("
               << circuit.numQubits() << " qubits, "

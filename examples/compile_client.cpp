@@ -7,31 +7,34 @@
  *
  * Options:
  *   --host H         daemon address (default 127.0.0.1)
- *   --port N         daemon port (default 7717)
+ *   --port N         daemon port, 1..65535 (default 7717)
  *   --client NAME    admission identity: requests sharing a name share
  *                    one fair-admission queue (default "cli")
  *   --qasm FILE      submit the QASM file's text (same as a positional
  *                    *.qasm argument)
  *   --device SPEC    device spec (DeviceRegistry grammar)
  *   --backend B      mussti (default) | murali | dai | mqt
- *   --seed S         explicit compile seed
- *   --deadline-ms N  per-job deadline, relative, server-anchored
- *   --count N        submit the circuit N times, pipelined (cache and
- *                    fairness exercises); responses print as they land
+ *   --seed S         explicit compile seed: decimal digits, or 0x and
+ *                    hex digits (no sign, no leading zero)
+ *   --deadline-ms N  per-job deadline, relative, server-anchored; N >= 1
+ *   --count N        submit the circuit N >= 1 times, pipelined (cache
+ *                    and fairness exercises); responses print as they
+ *                    land
  *   --json           print each response as its wire JSON payload
  *   --stats          print the daemon's counters instead of compiling
  *
  * Exit status: 0 if every response was ok, 1 otherwise — so scripts can
- * assert a deadline was met without parsing.
+ * assert a deadline was met without parsing. A malformed or out-of-range
+ * option value exits 2 with a diagnostic before anything connects.
  *
  * The fingerprint in every ok response is resultFingerprint() of the
  * server-side compile; compile_cli prints the same digest for a local
  * run, so `compile_client qft 32` vs `compile_cli qft 32` is the
  * end-to-end determinism check in one diff.
  */
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -98,6 +101,8 @@ run(int argc, char **argv)
             host = argv[++i];
         } else if (arg == "--port" && i + 1 < argc) {
             port = parseIntArg(argv[++i], "port");
+            MUSSTI_REQUIRE(port >= 1 && port <= 65535,
+                           "port " << port << " is outside 1..65535");
         } else if (arg == "--client" && i + 1 < argc) {
             request.client = argv[++i];
         } else if (arg == "--qasm" && i + 1 < argc) {
@@ -108,16 +113,21 @@ run(int argc, char **argv)
             request.backend = argv[++i];
         } else if (arg == "--seed" && i + 1 < argc) {
             const std::string text = argv[++i];
-            char *end = nullptr;
-            request.seed = std::strtoull(text.c_str(), &end, 0);
-            MUSSTI_REQUIRE(!text.empty() && text[0] != '-' && *end == '\0',
+            const std::optional<std::uint64_t> seed = parseU64Strict(text);
+            MUSSTI_REQUIRE(seed.has_value(),
                            "unparsable seed `" << text
-                           << "` (want an unsigned integer)");
+                           << "` (want decimal or 0x-hex digits)");
+            request.seed = *seed;
             request.hasSeed = true;
         } else if (arg == "--deadline-ms" && i + 1 < argc) {
             request.deadlineMs = parseIntArg(argv[++i], "deadline");
+            MUSSTI_REQUIRE(request.deadlineMs >= 1,
+                           "deadline " << request.deadlineMs
+                           << " ms is below 1");
         } else if (arg == "--count" && i + 1 < argc) {
             count = parseIntArg(argv[++i], "request count");
+            MUSSTI_REQUIRE(count >= 1,
+                           "request count " << count << " is below 1");
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--stats") {

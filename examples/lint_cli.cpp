@@ -22,14 +22,12 @@
  * 0 with an empty findings array, and a --corrupt run must exit 1 with
  * the planted rule id in the output.
  */
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 
 #include "arch/device_registry.h"
 #include "baselines/backend_factory.h"
-#include "circuit/qasm.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "core/compiler.h"
@@ -75,7 +73,7 @@ run(int argc, char **argv)
         if (arg == "--device" && i + 1 < argc) {
             device_spec = argv[++i];
         } else if (arg == "--backend" && i + 1 < argc) {
-            backend_name = toLower(argv[++i]);
+            backend_name = argv[++i];
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--corrupt" && i + 1 < argc) {
@@ -104,38 +102,11 @@ run(int argc, char **argv)
         return 2;
     }
 
-    Circuit circuit(1);
-    if (target.size() > 5 &&
-        target.compare(target.size() - 5, 5, ".qasm") == 0) {
-        std::ifstream in(target);
-        if (!in) {
-            std::cerr << "cannot open " << target << "\n";
-            return 2;
-        }
-        circuit = fromQasmStream(in, target);
-    } else {
-        circuit = makeBenchmark(target, qubits > 0 ? qubits : 32);
-    }
-
-    MusstiConfig config;
-    DeviceSpec spec = DeviceRegistry::specOf(config.device);
-    if (!device_spec.empty())
-        spec = DeviceRegistry::parse(device_spec);
-
-    std::shared_ptr<const ICompilerBackend> backend;
-    if (backend_name == "mussti") {
-        if (spec.family != DeviceFamily::Eml)
-            fatal("backend mussti needs an eml:... device spec, got: " +
-                  spec.canonical());
-        config.device = spec.eml;
-        backend = makeMusstiBackend(config);
-    } else {
-        if (spec.family != DeviceFamily::Grid)
-            fatal("backend " + backend_name + " needs a grid:... device "
-                  "spec, got: " + spec.canonical());
-        backend = makeGridBackend(backend_name, spec.grid);
-    }
-
+    const Circuit circuit = circuitFromTarget(target, qubits);
+    const DeviceSpec spec = device_spec.empty()
+                                ? DeviceRegistry::specOf(EmlConfig{})
+                                : DeviceRegistry::parse(device_spec);
+    const auto backend = makeBackend(backend_name, spec);
     const std::shared_ptr<const TargetDevice> device =
         DeviceRegistry::create(spec, circuit.numQubits());
     CompileResult result = backend->compile(circuit);

@@ -29,6 +29,23 @@ makeGridBackend(const std::string &which, const GridConfig &grid,
     fatal("unknown baseline: " + which);
 }
 
+std::shared_ptr<const ICompilerBackend>
+makeBackend(const std::string &name, const DeviceSpec &spec,
+            MusstiConfig config, const PhysicalParams &params)
+{
+    const std::string backend = toLower(name);
+    const bool mussti = backend == "mussti";
+    if (spec.family != (mussti ? DeviceFamily::Eml : DeviceFamily::Grid))
+        fatalCoded("serve.device-mismatch",
+                   "backend " + backend + " needs " +
+                       (mussti ? "an eml" : "a grid") +
+                       ":... device spec, got: " + spec.canonical());
+    if (!mussti)
+        return makeGridBackend(backend, spec.grid, params);
+    config.device = spec.eml;
+    return makeMusstiBackend(config, params);
+}
+
 std::vector<std::string>
 gridBackendNames()
 {

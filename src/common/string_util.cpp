@@ -1,6 +1,7 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -43,6 +44,22 @@ parseIntStrict(const std::string &text)
     } catch (const std::out_of_range &) {
         return std::nullopt;
     }
+}
+
+std::optional<std::uint64_t>
+parseU64Strict(const std::string &text)
+{
+    const bool hex = startsWith(text, "0x");
+    const char *first = text.data() + (hex ? 2 : 0);
+    const char *last = text.data() + text.size();
+    if (first == last || (!hex && *first == '0' && last - first > 1))
+        return std::nullopt;
+    std::uint64_t value = 0;
+    const auto [end, error] = std::from_chars(first, last, value,
+                                              hex ? 16 : 10);
+    if (error != std::errc() || end != last)
+        return std::nullopt;
+    return value;
 }
 
 int

@@ -5,6 +5,7 @@
 #ifndef MUSSTI_COMMON_STRING_UTIL_H
 #define MUSSTI_COMMON_STRING_UTIL_H
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,6 +32,13 @@ std::optional<double> parseDoubleStrict(const std::string &text);
 
 /** Strict full-string int parse; nullopt on garbage or overflow. */
 std::optional<int> parseIntStrict(const std::string &text);
+
+/**
+ * Strict full-string u64 parse: decimal digits with no leading zero
+ * (except "0" itself), or "0x" followed by hex digits. No sign, no
+ * whitespace, no octal; nullopt on anything else or on overflow.
+ */
+std::optional<std::uint64_t> parseU64Strict(const std::string &text);
 
 /**
  * Strict int parse for command-line tokens: fatal() with a diagnostic

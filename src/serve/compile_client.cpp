@@ -21,6 +21,8 @@ bool
 CompileClient::connect(const std::string &host, int port)
 {
     close();
+    if (port < 1 || port > 65535)
+        return false; // htons would wrap it onto some other port.
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
         return false;

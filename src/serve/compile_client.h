@@ -39,7 +39,10 @@ class CompileClient
     CompileClient(const CompileClient &) = delete;
     CompileClient &operator=(const CompileClient &) = delete;
 
-    /** Connect to a daemon on `host`:`port`; false on failure. */
+    /**
+     * Connect to a daemon on `host`:`port`; false on failure, including
+     * a port outside 1..65535.
+     */
     bool connect(const std::string &host, int port);
 
     bool connected() const { return fd_ >= 0; }

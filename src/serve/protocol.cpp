@@ -6,26 +6,20 @@
 
 #include "common/json.h"
 #include "common/logging.h"
+#include "common/string_util.h"
 
 namespace mussti {
 
 namespace {
 
-/** Strict full-string u64 parse (decimal or 0x-hex); fatal on garbage. */
+/** A u64 wire string (see parseU64Strict); fatal on anything else. */
 std::uint64_t
 parseU64(const std::string &text)
 {
-    MUSSTI_REQUIRE(!text.empty(), "empty u64 field on the serve wire");
-    std::size_t used = 0;
-    std::uint64_t value = 0;
-    try {
-        value = std::stoull(text, &used, 0);
-    } catch (const std::exception &) {
-        fatal("unparseable u64 on the serve wire: `" + text + "`");
-    }
-    MUSSTI_REQUIRE(used == text.size(),
-                   "trailing garbage in u64 field: `" << text << "`");
-    return value;
+    const std::optional<std::uint64_t> value = parseU64Strict(text);
+    if (!value)
+        fatal("malformed u64 on the serve wire: `" + text + "`");
+    return *value;
 }
 
 std::string

@@ -21,7 +21,9 @@
  *
  * Numeric hygiene: u64 values (seed, fingerprint) are wire-encoded as
  * strings (decimal / "0x" hex) because JSON numbers are doubles and lose
- * bits past 2^53. Integer fields (ids, qubits, deadline_ms, shuttles,
+ * bits past 2^53; a sign, whitespace or a leading zero ("-5", " 7",
+ * "+7", "010") makes the string malformed (common/string_util.h
+ * parseU64Strict). Integer fields (ids, qubits, deadline_ms, shuttles,
  * swap_insertions, stats values) must be whole numbers in their C++
  * type's range; 3.7, -1 for an id, or 1e300 are malformed, never
  * truncated or wrapped. Decoders treat any malformed payload as a

@@ -8,7 +8,6 @@
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "core/compiler.h"
 #include "workloads/workloads.h"
 
 namespace mussti {
@@ -27,12 +26,9 @@ describeFailure(const MusstiError &error)
 std::shared_ptr<const ICompilerBackend>
 backendFor(const DeviceSpec &spec, const TunerConfig &config)
 {
-    if (spec.family == DeviceFamily::Eml) {
-        MusstiConfig mussti;
-        mussti.device = spec.eml;
-        return makeMusstiBackend(mussti);
-    }
-    return makeGridBackend(config.gridBackend, spec.grid);
+    return makeBackend(spec.family == DeviceFamily::Eml ? "mussti"
+                                                        : config.gridBackend,
+                       spec);
 }
 
 /**

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <fstream>
 
+#include "circuit/qasm.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 
@@ -52,6 +54,19 @@ makeBenchmark(const std::string &family, int num_qubits)
     if (fam == "wstate")
         return makeWState(num_qubits);
     fatal("unknown benchmark family: " + family);
+}
+
+Circuit
+circuitFromTarget(const std::string &target, int qubits)
+{
+    if (qubits < 0)
+        fatal("qubit count " + std::to_string(qubits) + " is negative");
+    if (!target.ends_with(".qasm"))
+        return makeBenchmark(target, qubits > 0 ? qubits : 32);
+    std::ifstream in(target);
+    if (!in)
+        fatal("cannot open " + target);
+    return fromQasmStream(in, target);
 }
 
 std::vector<std::string>

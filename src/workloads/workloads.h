@@ -90,6 +90,14 @@ Circuit makeSurfaceCodeCycle(int distance, int rounds = 1);
  */
 Circuit makeBenchmark(const std::string &family, int num_qubits);
 
+/**
+ * The circuit a command line names: a `*.qasm` target is read as an
+ * OpenQASM file (fatal() if it cannot be opened); anything else is
+ * makeBenchmark(target, qubits), where 0 qubits means 32. A negative
+ * `qubits` is fatal(). The daemon takes QASM text, never a file name.
+ */
+Circuit circuitFromTarget(const std::string &target, int qubits);
+
 /** The benchmark families available through makeBenchmark(). */
 std::vector<std::string> benchmarkFamilies();
 

@@ -7,9 +7,12 @@
  */
 #include <gtest/gtest.h>
 
+#include "arch/device_registry.h"
+#include "baselines/backend_factory.h"
 #include "baselines/dai.h"
 #include "baselines/mqt_like.h"
 #include "baselines/murali.h"
+#include "common/logging.h"
 #include "sim/validator.h"
 #include "workloads/workloads.h"
 
@@ -203,6 +206,46 @@ TEST(GridBase, MediumGridSuiteValidates)
         const auto dai_result = dai.compile(qc);
         expectValid(dai.device(), dai_result);
     }
+}
+
+TEST(BackendFactory, MakeBackendMatchesFamiliesAndRefusesMismatches)
+{
+    const ScopedFatalSilence quiet;
+    const DeviceSpec eml = DeviceRegistry::parse("eml:hetero=2.1.2-2.1.1,cap=16");
+    const DeviceSpec grid = DeviceRegistry::parse("grid:4x3,cap=16");
+    auto mismatchCode = [](const std::string &name, const DeviceSpec &spec) {
+        try {
+            (void)makeBackend(name, spec);
+        } catch (const MusstiError &err) {
+            return err.code();
+        }
+        return std::string("no error");
+    };
+
+    // Both mismatch directions carry the daemon's wire code.
+    EXPECT_EQ(mismatchCode("mussti", grid), "serve.device-mismatch");
+    for (const std::string &name : gridBackendNames())
+        EXPECT_EQ(mismatchCode(name, eml), "serve.device-mismatch") << name;
+    EXPECT_THROW((void)makeBackend("nope", grid), MusstiFault);
+
+    // Names are case-insensitive; each lands on its own family.
+    EXPECT_EQ(makeBackend("MUSSTI", eml)->name(),
+              makeMusstiBackend()->name());
+    for (const std::string &name : gridBackendNames())
+        EXPECT_EQ(makeBackend(name, grid)->name(),
+                  makeGridBackend(name, grid.grid)->name());
+
+    // MUSS-TI compiles on the spec's device and keeps the other knobs.
+    EXPECT_NE(makeBackend("mussti", eml)->configDigest(),
+              makeMusstiBackend()->configDigest());
+    MusstiConfig config;
+    config.lookAhead = 4;
+    MusstiConfig expected = config;
+    expected.device = eml.eml;
+    EXPECT_EQ(makeBackend("mussti", eml, config)->configDigest(),
+              makeMusstiBackend(expected)->configDigest());
+    EXPECT_NE(makeBackend("mussti", eml, config)->configDigest(),
+              makeBackend("mussti", eml)->configDigest());
 }
 
 } // namespace

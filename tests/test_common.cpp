@@ -185,6 +185,22 @@ TEST(StringUtil, ParseIntArgHardensCliTokens)
     }
 }
 
+TEST(StringUtil, ParseU64StrictTakesOnlyCanonicalDigits)
+{
+    EXPECT_EQ(parseU64Strict("0"), 0u);
+    EXPECT_EQ(parseU64Strict("7"), 7u);
+    EXPECT_EQ(parseU64Strict("18446744073709551615"), ~0ull);
+    EXPECT_EQ(parseU64Strict("0x0"), 0u);
+    EXPECT_EQ(parseU64Strict("0xffffffffffffffff"), ~0ull);
+    EXPECT_EQ(parseU64Strict("0x200c67A7f37BFE1a"), 0x200c67a7f37bfe1aull);
+
+    // std::stoull(text, &used, 0) took every one of these.
+    for (const char *bad : {"", "-5", "-1", " 7", "7 ", "+7", "010", "00",
+                            "0x", "0x-1", "0x 1", "0X1f", "0x0x1", "12z",
+                            "18446744073709551616", "0x10000000000000000"})
+        EXPECT_FALSE(parseU64Strict(bad).has_value()) << '`' << bad << '`';
+}
+
 TEST(StringUtil, ToLower)
 {
     EXPECT_EQ(toLower("GHZ_n32"), "ghz_n32");

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <memory>
 #include <string>
 #include <utility>
@@ -230,19 +231,29 @@ TEST(CompileService, ErrorCategoryRoundTripsThroughFutures)
     CompileService service(service_config);
     const auto backend = makeGridBackend("murali", GridConfig{2, 2, 4});
 
-    // Legacy future: the thrown exception carries the full taxonomy.
-    auto future = service.submit(backend, makeGhz(32));
+    std::exception_ptr thrown;
     try {
-        (void)future.get();
-        FAIL() << "expected a structured failure";
+        (void)service.submit(backend, makeGhz(32)).get();
+    } catch (...) {
+        thrown = std::current_exception();
+    }
+    CompileOutcome outcome =
+        service.submitOutcome({backend, makeGhz(32), {}, {}, {}}).get();
+    // The worker may still hold the promise that shares the exception
+    // object, and releases it through a refcount TSan cannot see; join
+    // it before reading the object.
+    service.shutdown();
+
+    // Legacy future: the thrown exception carries the full taxonomy.
+    ASSERT_TRUE(thrown) << "expected a structured failure";
+    try {
+        std::rethrow_exception(thrown);
     } catch (const MusstiError &err) {
         EXPECT_EQ(err.category(), ErrorCategory::InvalidInput);
         EXPECT_EQ(err.code(), "input.require");
     }
 
     // Tolerant future: the same taxonomy, as a value.
-    CompileOutcome outcome =
-        service.submitOutcome({backend, makeGhz(32), {}, {}, {}}).get();
     ASSERT_FALSE(outcome.ok());
     EXPECT_EQ(outcome.errorInfo().category(),
               ErrorCategory::InvalidInput);

@@ -26,6 +26,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "arch/device_registry.h"
 #include "baselines/backend_factory.h"
 #include "common/logging.h"
 #include "core/pipeline.h"
@@ -85,14 +86,20 @@ openFdCount()
     return count;
 }
 
-/** Poll `done` every 10 ms for up to 10 s; false on timeout. */
+/**
+ * Poll `done` every 10 ms for up to 10 s; false on timeout. Returns the
+ * last value polled: asking again could see a state that has moved on.
+ */
 template <typename Pred>
 bool
 eventually(Pred done)
 {
-    for (int i = 0; i < 1000 && !done(); ++i)
+    for (int i = 0; i < 1000; ++i) {
+        if (done())
+            return true;
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    return done();
+    }
+    return false;
 }
 
 ServeRequest
@@ -257,6 +264,11 @@ TEST(ServeProtocol, MalformedPayloadsAreRejectedNotFatal)
         "{\"type\":\"compile\",\"id\":1,\"qubits\":3.7}",
         "{\"type\":\"compile\",\"id\":1,\"deadline_ms\":1e300}",
         "{\"type\":\"compile\",\"id\":1,\"deadline_ms\":2.5}",
+        // u64 strings are digits only: no sign, space or octal zero.
+        "{\"type\":\"compile\",\"id\":1,\"seed\":\"-5\"}",
+        "{\"type\":\"compile\",\"id\":1,\"seed\":\" 7\"}",
+        "{\"type\":\"compile\",\"id\":1,\"seed\":\"+7\"}",
+        "{\"type\":\"compile\",\"id\":1,\"seed\":\"010\"}",
     };
     for (const std::string &text : badRequests) {
         ServeRequest request;
@@ -268,6 +280,7 @@ TEST(ServeProtocol, MalformedPayloadsAreRejectedNotFatal)
         "{\"id\":1,\"ok\":true,\"swap_insertions\":3.7}",
         "{\"id\":1,\"ok\":true,\"stats\":{\"jobs_executed\":1e300}}",
         "{\"id\":1,\"ok\":true,\"stats\":{\"jobs_executed\":0.5}}",
+        "{\"id\":1,\"ok\":true,\"fingerprint\":\"-1\"}",
     };
     for (const std::string &text : badResponses) {
         ServeResponse response;
@@ -325,6 +338,46 @@ TEST(Serve, CompileMatchesALocalCompileBitForBit)
     // 19 counters, none for retries: the service never retries.
     EXPECT_EQ(stats.stats.size(), 19u);
     EXPECT_EQ(counter(stats, "jobs_retried"), -1);
+
+    server.stop();
+}
+
+TEST(Serve, EveryBackendMatchesItsLocalCompile)
+{
+    CompileServerConfig config;
+    config.port = 0;
+    config.numThreads = 2;
+    CompileServer server(config);
+    ASSERT_TRUE(server.start());
+
+    CompileClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+
+    // One backend x device rule on both sides: the served fingerprint
+    // is the local makeBackend() compile's, grid baselines included.
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"mussti", "eml:hetero=2.1.2-2.1.1,cap=16"},
+        {"murali", "grid:4x3,cap=16"},
+        {"dai", "grid:4x3,cap=16"},
+        {"mqt", "grid:4x3,cap=16"},
+    };
+    for (const auto &[backend, device] : cases) {
+        ServeRequest request = familyRequest("qft", 24);
+        request.backend = backend;
+        request.device = device;
+        const ServeResponse response = client.await(client.send(request));
+        ASSERT_TRUE(response.ok) << backend << " on " << device << ": "
+                                 << response.error.code << ": "
+                                 << response.error.message;
+
+        const CompileResult local =
+            makeBackend(backend, DeviceRegistry::parse(device))
+                ->compile(makeBenchmark("qft", 24));
+        EXPECT_EQ(response.fingerprint, resultFingerprint(local))
+            << backend << " on " << device;
+        EXPECT_EQ(response.shuttles, local.metrics.shuttleCount)
+            << backend << " on " << device;
+    }
 
     server.stop();
 }
