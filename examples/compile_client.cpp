@@ -156,7 +156,7 @@ run(int argc, char **argv)
         std::ifstream in(qasm_file);
         if (!in) {
             std::cerr << "cannot open " << qasm_file << "\n";
-            return 1;
+            return 2;
         }
         std::ostringstream text;
         text << in.rdbuf();

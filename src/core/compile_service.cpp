@@ -22,6 +22,28 @@ cancelledOutcome(const std::string &message)
     return outcome;
 }
 
+/** The job control a request asks for: its deadline and its token. */
+JobControl
+controlOf(const CompileRequest &request)
+{
+    JobControl control;
+    control.deadline = request.deadline;
+    control.cancel = request.cancel.get();
+    return control;
+}
+
+/** The result-tier key of a request: circuit x config x seed. */
+ResultCacheKey
+keyOf(const CompileRequest &request)
+{
+    ResultCacheKey key;
+    key.circuitHash = request.circuit.contentHash();
+    key.configDigest = request.backend->configDigest();
+    key.hasSeed = request.seed.has_value();
+    key.seed = request.seed.value_or(0);
+    return key;
+}
+
 /**
  * The snapshot probe-index key of a job or a snapshot: its config and
  * seed coordinates, with the circuit or prefix hash zeroed.
@@ -59,7 +81,9 @@ CompileOutcome::errorInfo() const
 }
 
 CompileService::CompileService(const CompileServiceConfig &config)
-    : config_(config), results_(config.cacheCapacity),
+    : config_(config),
+      results_(config.cacheCapacity,
+               config.cacheCapacity * kProtectedPercent / 100),
       snapshots_(config.snapshotCacheCapacity)
 {
     MUSSTI_REQUIRE(config.numThreads <= kMaxThreads,
@@ -177,7 +201,7 @@ CompileService::submitWithCallback(CompileRequest request,
 {
     MUSSTI_REQUIRE(done != nullptr,
                    "submitWithCallback without a callback");
-    Job job{std::move(request), std::move(done)};
+    Job job{std::move(request), std::move(done), std::nullopt};
     if (job.request.backend == nullptr) {
         CompileOutcome outcome;
         outcome.error = MusstiError(ErrorCategory::InvalidInput,
@@ -186,32 +210,64 @@ CompileService::submitWithCallback(CompileRequest request,
         deliver(std::move(job), std::move(outcome));
         return;
     }
-    bool queued = false;
+    // A memory hit is answered here, so it never waits behind queued
+    // or running jobs. The key is computed once: a miss carries it to
+    // the worker. The lookup, and its hashing, stay on the worker when
+    // the tier is empty (nothing to hit), when the pool is idle (the
+    // worker starts the job at once), and for a job already cancelled
+    // or past its deadline (the worker's checkpoint resolves it).
+    std::shared_ptr<const CompileResult> hit;
+    const JobControl control = controlOf(job.request);
+    if (config_.cacheCapacity > 0 && !control.cancelRequested() &&
+        !control.deadlineExpired() && !memoryEmpty() && !poolIdle()) {
+        job.key = keyOf(job.request);
+        hit = memoryLookup(*job.key, /*count_miss=*/false);
+    }
+    bool accepted = false;
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
         if (!stopping_) {
-            auto it = std::find_if(ring_.begin(), ring_.end(),
-                                   [&job](const ClientQueue &client) {
-                                       return client.name ==
-                                              job.request.client;
-                                   });
-            if (it == ring_.end()) {
-                ring_.push_back(ClientQueue{job.request.client, {}, 0, 0});
-                it = ring_.end() - 1;
-            }
-            it->jobs.push_back(std::move(job));
+            accepted = true;
             ++counters_.submitted;
-            queued = true;
+            if (hit != nullptr) {
+                // Booked as dispatched and completed at once; it never
+                // enters the ring, so it spends no DRR credit.
+                ++counters_.dispatched;
+                ++counters_.completed;
+            } else {
+                enqueueLocked(std::move(job));
+            }
         }
     }
-    if (queued) {
+    if (!accepted) {
+        // Submit after shutdown: resolve immediately instead of racing
+        // the worker teardown, hit or not.
+        deliver(std::move(job),
+                cancelledOutcome("submit after compile service shutdown"));
+        return;
+    }
+    if (hit == nullptr) {
         queueCv_.notify_one();
         return;
     }
-    // Submit after shutdown: resolve immediately instead of racing the
-    // worker teardown.
-    deliver(std::move(job),
-            cancelledOutcome("submit after compile service shutdown"));
+    cacheHits_.fetch_add(1);
+    CompileOutcome outcome;
+    outcome.result.emplace(*hit);
+    deliver(std::move(job), std::move(outcome));
+}
+
+void
+CompileService::enqueueLocked(Job job)
+{
+    auto it = std::find_if(ring_.begin(), ring_.end(),
+                           [&job](const ClientQueue &client) {
+                               return client.name == job.request.client;
+                           });
+    if (it == ring_.end()) {
+        ring_.push_back(ClientQueue{job.request.client, {}, 0, 0});
+        it = ring_.end() - 1;
+    }
+    it->jobs.push_back(std::move(job));
 }
 
 std::vector<CompileOutcome>
@@ -227,6 +283,13 @@ CompileService::compileAllOutcomes(std::vector<CompileRequest> requests)
     for (std::future<CompileOutcome> &future : futures)
         outcomes.push_back(future.get());
     return outcomes;
+}
+
+bool
+CompileService::poolIdle() const
+{
+    std::lock_guard<std::mutex> lock(queueMutex_);
+    return ring_.empty(); // A client stays in it while it has work.
 }
 
 AdmissionStats
@@ -255,7 +318,7 @@ CompileService::workerLoop()
             continue;
         }
         lock.unlock();
-        CompileOutcome outcome = runJob(job->request);
+        CompileOutcome outcome = runJob(job->request, job->key);
         lock.lock();
         // Book before delivering, so a caller woken by its result sees
         // the job counted as completed.
@@ -352,28 +415,26 @@ CompileService::finishLocked(const std::string &name)
 }
 
 CompileOutcome
-CompileService::runJob(CompileRequest &request)
+CompileService::runJob(CompileRequest &request,
+                       std::optional<CacheKey> key)
 {
     CompileOutcome outcome;
     try {
-        JobControl control;
-        control.deadline = request.deadline;
-        control.cancel = request.cancel.get();
+        const JobControl control = controlOf(request);
         // A job whose deadline already passed (or whose token fired
         // while queued) resolves without compiling anything.
         control.checkpoint();
         FaultInjector::maybeThrow(FaultSite::WorkerDequeue);
 
-        CacheKey key;
-        key.circuitHash = request.circuit.contentHash();
-        key.configDigest = request.backend->configDigest();
-        key.hasSeed = request.seed.has_value();
-        key.seed = request.seed.value_or(0);
+        if (!key.has_value())
+            key = keyOf(request);
 
+        // Memory is asked again before disk: a duplicate queued behind
+        // its twin missed at submit but hits once the twin is stored.
         const bool result_cache =
             config_.cacheCapacity > 0 || disk_ != nullptr;
         if (result_cache) {
-            if (auto cached = cacheLookup(key)) {
+            if (auto cached = cacheLookup(*key)) {
                 cacheHits_.fetch_add(1);
                 outcome.result = std::move(*cached);
                 return outcome;
@@ -388,16 +449,16 @@ CompileService::runJob(CompileRequest &request)
         thread_local auto workspace = std::make_shared<SchedulerWorkspace>();
 
         Circuit circuit = std::move(request.circuit);
-        CompileResult result = compileOnce(request, std::move(circuit), key,
+        CompileResult result = compileOnce(request, std::move(circuit), *key,
                                            workspace, control);
         jobsExecuted_.fetch_add(1);
 
         // A failed job never reaches this store — the result tiers only
         // ever hold compiles that completed.
         if (result_cache && !FaultInjector::fires(FaultSite::CacheStore)) {
-            memoryStore(key, result);
+            memoryStore(*key, result, /*in_use=*/false);
             if (disk_ != nullptr)
-                disk_->store(key, result);
+                disk_->store(*key, result);
         }
         outcome.result = std::move(result);
     } catch (...) {
@@ -490,39 +551,60 @@ CompileService::deliver(Job job, CompileOutcome outcome)
     job.callback(std::move(outcome));
 }
 
+bool
+CompileService::memoryEmpty() const
+{
+    std::lock_guard<std::mutex> lock(resultMutex_);
+    return results_.size() == 0;
+}
+
+std::shared_ptr<const CompileResult>
+CompileService::memoryLookup(const CacheKey &key, bool count_miss)
+{
+    std::lock_guard<std::mutex> lock(resultMutex_);
+    if (const auto *hit = results_.find(key)) {
+        ++memoryStats_.hits;
+        return *hit;
+    }
+    if (count_miss)
+        ++memoryStats_.misses;
+    return nullptr;
+}
+
 std::optional<CompileResult>
 CompileService::cacheLookup(const CacheKey &key)
 {
     if (config_.cacheCapacity > 0) {
-        std::lock_guard<std::mutex> lock(resultMutex_);
-        if (const CompileResult *hit = results_.find(key)) {
-            ++memoryStats_.hits;
+        if (auto hit = memoryLookup(key, /*count_miss=*/true))
             return *hit;
-        }
-        ++memoryStats_.misses;
     }
     if (disk_ == nullptr)
         return std::nullopt;
     std::optional<CompileResult> hit = disk_->lookup(key);
     // Promote, so e.g. a disk hit after a restart is memory-speed from
-    // now on.
+    // now on. A disk hit is at least the result's second use, so it
+    // enters the protected segment.
     if (hit.has_value())
-        memoryStore(key, *hit);
+        memoryStore(key, *hit, /*in_use=*/true);
     return hit;
 }
 
 void
-CompileService::memoryStore(const CacheKey &key,
-                            const CompileResult &result)
+CompileService::memoryStore(const CacheKey &key, const CompileResult &result,
+                            bool in_use)
 {
     if (config_.cacheCapacity == 0)
         return;
-    CompileResult copy = result; // Copied before taking the lock.
+    // Copied before taking the lock.
+    auto copy = std::make_shared<const CompileResult>(result);
     std::lock_guard<std::mutex> lock(resultMutex_);
     results_.insert(key, std::move(copy),
-                    [this](const CacheKey &, const CompileResult &) {
+                    [this](const CacheKey &,
+                           const std::shared_ptr<const CompileResult> &) {
                         ++memoryStats_.evictions;
                     });
+    if (in_use)
+        results_.find(key);
 }
 
 std::vector<std::shared_ptr<const ScheduleSnapshot>>

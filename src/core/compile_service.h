@@ -37,6 +37,17 @@
  * and the default unbounded budget that is plain FIFO. Every job
  * resolves through one completion callback; the future-returning and
  * batch entry points are thin adapters over it.
+ *
+ * A memory-tier hit never waits in that queue: while any job is queued
+ * or running, submit looks the key up and, on a hit, resolves the job
+ * on the submitting thread, so a cached answer costs one result copy,
+ * not a wait behind cold compiles. DRR credit is spent only by queued
+ * jobs. On an idle pool a job queues and a worker starts it at once. A
+ * job already cancelled or past its deadline is not looked up at
+ * submit; it queues and resolves Cancelled or Timeout at the worker's
+ * checkpoint. Misses, and every disk-tier lookup, stay on the workers.
+ * The memory tier is a segmented LRU, so a sweep of one-off compiles
+ * cannot flush the results other callers keep asking for.
  */
 #ifndef MUSSTI_CORE_COMPILE_SERVICE_H
 #define MUSSTI_CORE_COMPILE_SERVICE_H
@@ -97,9 +108,10 @@ struct FairAdmissionConfig
 /** Point-in-time counters of the service queue. */
 struct AdmissionStats
 {
-    std::uint64_t submitted = 0;   ///< Jobs accepted into the queue.
-    std::uint64_t dispatched = 0;  ///< Jobs a worker picked up.
-    std::uint64_t completed = 0;   ///< Picked-up jobs that finished.
+    std::uint64_t submitted = 0;   ///< Jobs accepted (memory hits too).
+    std::uint64_t dispatched = 0;  ///< Jobs a worker picked up, plus
+                                   ///< memory hits served at submit.
+    std::uint64_t completed = 0;   ///< Dispatched jobs that finished.
     std::uint64_t cancelledQueued = 0; ///< Queued jobs cancelled by shutdown.
     std::size_t queuedJobs = 0;    ///< Currently waiting for a worker.
     std::size_t inFlightJobs = 0;  ///< Currently running.
@@ -272,10 +284,12 @@ class CompileService
      * Enqueue one job: `done` is invoked exactly once with the job's
      * outcome, from whichever thread resolves it — a worker, the
      * thread calling shutdown() for a job still queued then, or the
-     * submitting thread for immediate rejections (no backend,
-     * submit-after-shutdown). Every other entry point is an adapter
-     * over this one. The callback must not block for long and must not
-     * re-enter shutdown().
+     * submitting thread, before this call returns, for memory-tier
+     * hits served while the pool is busy and for immediate rejections
+     * (no backend, submit-after-shutdown). Every other entry point is
+     * an adapter over this one. The callback must not block for long, must not
+     * re-enter shutdown(), and must not take a lock the submitting
+     * thread holds across the call.
      */
     void submitWithCallback(CompileRequest request,
                             std::function<void(CompileOutcome)> done);
@@ -373,6 +387,11 @@ class CompileService
     {
         CompileRequest request;
         std::function<void(CompileOutcome)> callback;
+        /**
+         * Result-tier key, computed at submit when a memory lookup was
+         * made there; the worker computes it otherwise.
+         */
+        std::optional<ResultCacheKey> key;
     };
 
     /** One client's slot in the DRR rotation. */
@@ -401,14 +420,24 @@ class CompileService
      */
     std::optional<Job> pickLocked();
 
+    /** True while no job is queued or running. */
+    bool poolIdle() const;
+
     /** Close the current turn and move the cursor to the next client. */
     void endTurnLocked();
 
     /** Book a finished job; drop its client once it has no work left. */
     void finishLocked(const std::string &client);
 
-    /** Run one job to an outcome: cache lookup, compile, cache store. */
-    CompileOutcome runJob(CompileRequest &request);
+    /** Append a job to its client's FIFO, joining the ring if new. */
+    void enqueueLocked(Job job);
+
+    /**
+     * Run one job to an outcome: cache lookup, compile, cache store.
+     * `key` is the one computed at submit, if any.
+     */
+    CompileOutcome runJob(CompileRequest &request,
+                          std::optional<CacheKey> key);
 
     /** The job's compile, carrying its delta exchange and control. */
     CompileResult
@@ -427,13 +456,29 @@ class CompileService
     void noteDeltaFallback();
 
     /**
+     * Find `key` in the memory tier (which must be on); null on a
+     * miss. A hit always counts in memoryStats_, a miss only when
+     * `count_miss`: a submit-time miss is counted by the worker's
+     * second look, so each job counts one memory outcome.
+     */
+    std::shared_ptr<const CompileResult>
+    memoryLookup(const CacheKey &key, bool count_miss);
+
+    /** True while the memory tier holds no result. */
+    bool memoryEmpty() const;
+
+    /**
      * Try the memory tier, then the disk tier; a disk hit is promoted
      * into memory. nullopt = miss in both.
      */
     std::optional<CompileResult> cacheLookup(const CacheKey &key);
 
-    /** Store a finished result into the memory tier (if enabled). */
-    void memoryStore(const CacheKey &key, const CompileResult &result);
+    /**
+     * Store a finished result into the memory tier (if enabled); on
+     * probation, or protected when `in_use` (a disk-tier hit).
+     */
+    void memoryStore(const CacheKey &key, const CompileResult &result,
+                     bool in_use);
 
     /**
      * Find cached snapshots whose input prefix the circuit shares
@@ -450,6 +495,12 @@ class CompileService
 
     /** Longest resume-candidate list offered to one compile. */
     static constexpr std::size_t kMaxResumeCandidates = 8;
+
+    /**
+     * Share of the memory tier kept for results found again at least
+     * once (the protected segment), in percent.
+     */
+    static constexpr std::size_t kProtectedPercent = 80;
 
     CompileServiceConfig config_;
     std::vector<std::thread> workers_;
@@ -476,7 +527,14 @@ class CompileService
      * lock, and a memory hit must not wait behind it.
      */
     mutable std::mutex resultMutex_;
-    BoundedLru<CacheKey, CompileResult, ResultCacheKeyHash> results_;
+    /**
+     * Segmented: results never asked for again (a sweep of one-off
+     * compiles) churn probation and cannot flush results in use.
+     * Shared, so a hit copies the result out after the lock drops.
+     */
+    BoundedLru<CacheKey, std::shared_ptr<const CompileResult>,
+               ResultCacheKeyHash>
+        results_;
     ResultTierStats memoryStats_;
     std::unique_ptr<DiskResultCache> disk_; ///< Null when not configured.
 

@@ -5,6 +5,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -39,6 +40,9 @@ CompileClient::connect(const std::string &host, int port)
         ::close(fd);
         return false;
     }
+    // Requests are whole frames; Nagle would only hold one back.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     fd_ = fd;
     return true;
 }

@@ -8,6 +8,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -143,6 +144,9 @@ CompileServer::acceptLoop()
             }
             break; // Listen socket shut down by stop().
         }
+        // Responses are whole frames; Nagle would only hold one back.
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
         std::lock_guard<std::mutex> lock(sessionsMutex_);
         if (stopping_.load()) {
             ::close(fd); // Lost the race against stop().

@@ -19,10 +19,14 @@
  * Responses are STREAMED: each job's response frame goes out the
  * moment its outcome resolves (a per-session write mutex keeps frames
  * whole), so responses arrive out of order and clients correlate by
- * id. Every layer below the transport is deterministic — a compile's
- * result is a pure function of (circuit, config, seed) — so the
- * fingerprints a server streams are bit-identical to a local
- * compile_cli run at any thread count and any client interleaving.
+ * id. While the pool is busy, a memory-tier hit resolves on the reader
+ * thread itself, so its response never waits behind queued compiles.
+ * Both ends set TCP_NODELAY and a frame is one send, so no frame waits
+ * on Nagle for the peer's delayed ACK. Every layer below the transport
+ * is deterministic — a compile's result is a pure function of
+ * (circuit, config, seed) — so the fingerprints a server streams are
+ * bit-identical to a local compile_cli run at any thread count and any
+ * client interleaving.
  *
  * Failures stay structured end to end: a malformed frame, an unknown
  * benchmark family, a blown deadline, or an injected fault each come

@@ -5,6 +5,7 @@
 
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 
 namespace mussti {
 
@@ -33,20 +34,34 @@ recvAll(int fd, char *buffer, std::size_t len)
     return 1;
 }
 
+/**
+ * Send the iovecs in full as one sendmsg stream, looping on partial
+ * writes. False on any error other than EINTR.
+ */
 bool
-sendAll(int fd, const char *buffer, std::size_t len)
+sendAll(int fd, iovec *iov, std::size_t count)
 {
-    std::size_t sent = 0;
-    while (sent < len) {
-        const ssize_t n =
-            ::send(fd, buffer + sent, len - sent, MSG_NOSIGNAL);
-        if (n > 0) {
-            sent += static_cast<std::size_t>(n);
-            continue;
-        }
+    msghdr message{};
+    message.msg_iov = iov;
+    message.msg_iovlen = count;
+    while (message.msg_iovlen > 0) {
+        ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
         if (n < 0 && errno == EINTR)
             continue;
-        return false;
+        if (n <= 0)
+            return false;
+        // Drop the fully sent iovecs, then trim the partly sent one.
+        while (message.msg_iovlen > 0 &&
+               static_cast<std::size_t>(n) >= message.msg_iov->iov_len) {
+            n -= static_cast<ssize_t>(message.msg_iov->iov_len);
+            ++message.msg_iov;
+            --message.msg_iovlen;
+        }
+        if (message.msg_iovlen > 0) {
+            message.msg_iov->iov_base =
+                static_cast<char *>(message.msg_iov->iov_base) + n;
+            message.msg_iov->iov_len -= static_cast<std::size_t>(n);
+        }
     }
     return true;
 }
@@ -65,15 +80,14 @@ writeFrame(int fd, const std::string &payload)
         static_cast<char>((len >> 8) & 0xff),
         static_cast<char>(len & 0xff),
     };
-    // Two sends, not one buffer, and this costs latency: Nagle holds the
-    // payload until the peer ACKs the 4-byte prefix, and the peer delays
-    // that ACK. On a shared 4-core kernel-6.18 host a cached round trip
-    // (perfbench serve-cached) takes 88 ms p50. One send alone spread
-    // serve-mixed p90 there from 53-56 ms to 49-95 ms, because cache
-    // hits still queue behind cold compiles; the one-send fix belongs
-    // with a change that stops that queueing.
-    return sendAll(fd, prefix, sizeof prefix) &&
-           sendAll(fd, payload.data(), payload.size());
+    // Prefix and payload leave in one sendmsg: as two sends, Nagle
+    // would hold the payload until the peer's delayed ACK of the
+    // prefix, 40 ms or more per frame.
+    iovec iov[2] = {
+        {prefix, sizeof prefix},
+        {const_cast<char *>(payload.data()), payload.size()},
+    };
+    return sendAll(fd, iov, payload.empty() ? 1 : 2);
 }
 
 bool

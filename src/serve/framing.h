@@ -8,9 +8,10 @@
  * deliberately separate layers — the framing never inspects the JSON,
  * and the protocol never sees partial reads.
  *
- * Both directions are loop-until-complete over recv/send with EINTR
- * retry and MSG_NOSIGNAL (a peer hanging up mid-frame is a false
- * return, never a SIGPIPE kill). An oversized length prefix is
+ * Both directions are loop-until-complete with EINTR retry. A frame is
+ * written with one sendmsg of prefix and payload (looping only on a
+ * partial write), with MSG_NOSIGNAL: a peer hanging up mid-frame is a
+ * false return, never a SIGPIPE kill. An oversized length prefix is
  * rejected before any allocation.
  */
 #ifndef MUSSTI_SERVE_FRAMING_H

@@ -325,6 +325,63 @@ TEST(Admission, ShutdownCancelsQueuedAndDeliversEverything)
     EXPECT_TRUE(rejected);
 }
 
+TEST(Admission, MemoryHitsDoNotQueueBehindRunningJobs)
+{
+    // One worker, cache on: a memory hit resolves on the submitting
+    // thread while the worker is parked on a gated compile.
+    CompileServiceConfig config;
+    config.numThreads = 1;
+    CompileService service(config);
+    const Circuit cached = makeBenchmark("ghz", 8);
+    ASSERT_TRUE(service.submitOutcome(requestFor(cached, 1)).get().ok());
+    const std::uint64_t executed = service.jobsExecuted();
+
+    const auto gate = std::make_shared<GatedBackend>();
+    std::future<CompileResult> blocker =
+        service.submit(gate, makeBenchmark("bv", 8));
+    ASSERT_TRUE(eventually([&] { return gate->running() == 1; }));
+
+    std::future<CompileOutcome> hit =
+        service.submitOutcome(requestFor(cached, 1));
+    const bool resolved =
+        hit.wait_for(milliseconds(0)) == std::future_status::ready;
+    EXPECT_TRUE(resolved) << "the hit waited for the parked worker";
+    if (!resolved)
+        gate->open(); // Let the worker reach it, so the test ends.
+    EXPECT_TRUE(hit.get().ok());
+    EXPECT_EQ(service.cacheHits(), 1u);
+    EXPECT_EQ(service.jobsExecuted(), executed);
+    EXPECT_EQ(gate->running(), 1); // The gate is still closed.
+
+    // A cached request already cancelled, or already past its
+    // deadline, queues and resolves at the worker's checkpoint.
+    const auto token = std::make_shared<std::atomic<bool>>(true);
+    std::future<CompileOutcome> cancelled =
+        service.submitOutcome({backend(), cached, 1, {}, token});
+    std::future<CompileOutcome> late = service.submitOutcome(
+        {backend(), cached, 1,
+         std::chrono::steady_clock::now() - milliseconds(1), {}});
+    EXPECT_EQ(service.admissionStats().queuedJobs, 2u);
+    gate->open();
+    blocker.get();
+    EXPECT_EQ(cancelled.get().errorInfo().category(),
+              ErrorCategory::Cancelled);
+    EXPECT_EQ(late.get().errorInfo().category(), ErrorCategory::Timeout);
+
+    // After shutdown a cached request resolves Cancelled, hit or not.
+    service.shutdown();
+    const CompileOutcome after =
+        service.submitOutcome(requestFor(cached, 1)).get();
+    ASSERT_FALSE(after.ok());
+    EXPECT_EQ(after.errorInfo().category(), ErrorCategory::Cancelled);
+
+    EXPECT_EQ(service.cacheHits(), 1u);
+    const AdmissionStats stats = service.admissionStats();
+    EXPECT_EQ(stats.submitted, 5u); // The hit counts in all three.
+    EXPECT_EQ(stats.dispatched, 5u);
+    EXPECT_EQ(stats.completed, 5u);
+}
+
 TEST(Admission, IdleServiceReportsAnEmptyQueue)
 {
     CompileService service{CompileServiceConfig{}};

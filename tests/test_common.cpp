@@ -556,6 +556,39 @@ TEST(BoundedLru, ZeroCapacityStoresNothing)
     EXPECT_TRUE(log.victims.empty());
 }
 
+TEST(BoundedLru, SegmentedScanCannotFlushEntriesInUse)
+{
+    // Capacity 4 with 2 protected: entries found again survive any
+    // number of one-off inserts, which evict each other oldest-first.
+    BoundedLru<int, std::string> lru(4, 2);
+    EvictionLog log;
+    lru.insert(1, "a", std::ref(log));
+    lru.insert(2, "b", std::ref(log));
+    ASSERT_NE(lru.find(1), nullptr);
+    ASSERT_NE(lru.find(2), nullptr);
+    for (int key = 10; key < 20; ++key)
+        lru.insert(key, "scan", std::ref(log));
+
+    EXPECT_EQ(lru.size(), 4u);
+    EXPECT_EQ(log.victims.size(), 8u);
+    EXPECT_EQ(log.victims.front().first, 10);
+    EXPECT_NE(lru.find(1), nullptr);
+    EXPECT_NE(lru.find(2), nullptr); // Protected, most recent first: 2 1.
+
+    // Finding a probation entry promotes it, and the full protected
+    // segment demotes its least recent entry (1) to the probation
+    // front, ahead of 18. Two more inserts evict 18, then 1.
+    ASSERT_NE(lru.find(19), nullptr);
+    log.victims.clear();
+    lru.insert(30, "x", std::ref(log));
+    lru.insert(31, "y", std::ref(log));
+    const std::vector<std::pair<int, std::string>> want = {
+        {18, "scan"}, {1, "a"}};
+    EXPECT_EQ(log.victims, want);
+    EXPECT_NE(lru.find(2), nullptr);
+    EXPECT_NE(lru.find(19), nullptr);
+}
+
 TEST(BoundedLru, ClearEmptiesIt)
 {
     BoundedLru<int, std::string> lru(4);

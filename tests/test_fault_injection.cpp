@@ -426,7 +426,11 @@ TEST(FaultService, SoakSurvivesScriptedFaultStorm)
     }
 
     // The faulted run: all five sites probabilistic plus exact-replay
-    // triggers, single-threaded so the visit sequence is deterministic.
+    // triggers, single-threaded so the visit sequence is deterministic
+    // while every job queues. A duplicate submitted after its twin was
+    // cached would be served at submit and skip WorkerDequeue, shifting
+    // later visits; the submit loop ends long before the first compile
+    // does, so in practice none is, and the oracle holds either way.
     CompileService service(config);
     FaultScript script;
     script.probability = 0.05;

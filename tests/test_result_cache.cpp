@@ -373,5 +373,43 @@ TEST(ServiceDiskTier, MemoryTierOffServesEveryRepeatFromDisk)
     EXPECT_EQ(stats.memoryTier.corrupt, 0u);
 }
 
+TEST(ServiceDiskTier, ResultsInUseSurviveASweepOfOneOffCompiles)
+{
+    // The memory tier is a segmented LRU: a result found again (in
+    // memory, or on disk and promoted) is protected, and a run of
+    // compiles never asked for again evicts only its own kind. Under a
+    // plain LRU of the same capacity, both repeats below would miss
+    // memory and go to disk.
+    const ScratchDir dir;
+    const auto backend = makeMusstiBackend();
+    const Circuit from_disk = makeBenchmark("ghz", 12);
+    const Circuit from_memory = makeBenchmark("bv", 12);
+
+    CompileServiceConfig config;
+    config.numThreads = 1;
+    config.cacheCapacity = 4;
+    config.diskCachePath = dir.str();
+    {
+        CompileService writer(config);
+        (void)writer.submit(backend, from_disk).get();
+    }
+
+    CompileService service(config);
+    (void)service.submit(backend, from_disk).get(); // disk hit, promoted
+    (void)service.submit(backend, from_memory).get();
+    (void)service.submit(backend, from_memory).get(); // memory hit
+    for (int qubits = 4; qubits < 12; ++qubits)
+        (void)service.submit(backend, makeBenchmark("qft", qubits)).get();
+    EXPECT_EQ(service.jobsExecuted(), 9u);
+
+    (void)service.submit(backend, from_disk).get();
+    (void)service.submit(backend, from_memory).get();
+    const CompileService::CacheStats stats = service.cacheStats();
+    EXPECT_EQ(service.jobsExecuted(), 9u);
+    EXPECT_EQ(stats.memoryTier.hits, 3u);
+    EXPECT_EQ(stats.diskTier.hits, 1u);
+    EXPECT_EQ(stats.memoryTier.evictions, 6u);
+}
+
 } // namespace
 } // namespace mussti

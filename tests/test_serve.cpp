@@ -12,6 +12,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -295,6 +296,37 @@ TEST(ServeProtocol, MalformedPayloadsAreRejectedNotFatal)
         request));
     EXPECT_EQ(request.family, "ghz");
     EXPECT_EQ(request.qubits, 8);
+}
+
+TEST(ServeFraming, OneSendPerFrame)
+{
+    // A SOCK_SEQPACKET socket keeps each send() as one record, so the
+    // first record's size shows how many sends a frame took. Prefix and
+    // payload in two sends let Nagle hold the payload on TCP until the
+    // peer's delayed ACK.
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, fds), 0);
+    // A record must fit the send buffer whole; ask for room for 1 MB
+    // and cap the payload at what the host grants.
+    const int want = 4 << 20;
+    ::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &want, sizeof want);
+    int granted = 0;
+    socklen_t len = sizeof granted;
+    ASSERT_EQ(::getsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &granted, &len),
+              0);
+    const std::size_t large =
+        std::min<std::size_t>(1u << 20, static_cast<std::size_t>(granted) / 2);
+
+    std::vector<char> record(large + 64);
+    for (const std::size_t size : {std::size_t{0}, large}) {
+        const std::string payload(size, 'x');
+        ASSERT_TRUE(writeFrame(fds[0], payload)) << size << " bytes";
+        const ssize_t got = ::recv(fds[1], record.data(), record.size(), 0);
+        EXPECT_EQ(got, static_cast<ssize_t>(4 + payload.size()))
+            << size << "-byte payload";
+    }
+    ::close(fds[0]);
+    ::close(fds[1]);
 }
 
 TEST(Serve, CompileMatchesALocalCompileBitForBit)
